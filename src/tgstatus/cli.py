@@ -16,7 +16,7 @@ from .finite_graph import (
     FiniteGraph,
     GraphError,
     Witness,
-    enumerate_connected_graphs,
+    count_bound_violations,
     extremal_search,
 )
 from .model import (
@@ -61,6 +61,11 @@ def _load_finite(path: str) -> FiniteGraph:
         return parse_finite_document(_read_file(path))
     except DocumentError as exc:
         _input_error(f"{path}: {exc}")
+
+
+def _require_nodes(graph: FiniteGraph, path: str) -> None:
+    if graph.p == 0:
+        _input_error(f"{path}: bounds need at least one node")
 
 
 def _load_any(path: str) -> TransfiniteGraph | FiniteGraph:
@@ -199,6 +204,7 @@ def bounds(file: str, as_json: bool) -> None:
     """Print p, q, the status bounds and which nodes achieve them."""
     doc = _load_any(file)
     if isinstance(doc, FiniteGraph):
+        _require_nodes(doc, file)
         try:
             result = doc.status_bounds()
             statuses = {node: doc.status(node) for node in doc.nodes}
@@ -251,6 +257,7 @@ def bounds(file: str, as_json: bool) -> None:
 def ejs_check(file: str) -> None:
     """Verify the status bounds for every node of a rank-0 document."""
     graph = _load_finite(file)
+    _require_nodes(graph, file)
     if not graph.is_connected():
         click.echo("violation: graph is not connected")
         sys.exit(EXIT_FAILURE)
@@ -279,15 +286,7 @@ def verify_ejs(max_p: int) -> None:
     total_graphs = 0
     total_violations = 0
     for p in range(1, max_p + 1):
-        graphs = 0
-        violations = 0
-        for graph in enumerate_connected_graphs(p):
-            graphs += 1
-            result = graph.status_bounds()
-            for node in graph.nodes:
-                s = graph.status(node)
-                if not result.lower <= s <= result.upper:
-                    violations += 1
+        graphs, violations = count_bound_violations(p)
         click.echo(f"p={p}: {_count(graphs, 'graph')}, {_count(violations, 'violation')}")
         total_graphs += graphs
         total_violations += violations

@@ -15,13 +15,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "BoundsResult",
     "FiniteGraph",
     "GraphError",
     "Witness",
+    "count_bound_violations",
     "enumerate_connected_graphs",
     "extremal_search",
     "status_bounds_values",
@@ -201,72 +202,160 @@ def _node_names(p: int) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(1, p + 1))
 
 
+def _check_enumeration_size(p: object, what: str) -> None:
+    if not isinstance(p, int) or not 1 <= p <= MAX_ENUMERATION_NODES:
+        raise GraphError(f"{what} supports 1 <= p <= {MAX_ENUMERATION_NODES}, got {p!r}")
+
+
+# Small graphs live in the bitmask domain.  Node i is bit i, and a graph
+# on p <= 7 nodes is an adjacency word whose byte i is the bitmask of i's
+# neighbours; word.to_bytes(p, "little") indexes it by node.  A graph's
+# word is the OR of the words of its edges, taken from _pair_words in the
+# lexicographic order of the pairs (i, j), i < j, so bit k of an edge mask
+# selects the k-th pair.  _MEMBERS lists the nodes of every node bitmask.
+
+_MEMBERS = [
+    tuple(v for v in range(MAX_ENUMERATION_NODES) if mask >> v & 1)
+    for mask in range(1 << MAX_ENUMERATION_NODES)
+]
+
+
+def _pair_words(p: int) -> list[int]:
+    return [1 << (8 * i + j) | 1 << (8 * j + i) for i in range(p) for j in range(i + 1, p)]
+
+
+def _subset_words(words: list[int]) -> list[int]:
+    """Adjacency words of every subset of words, indexed by subset mask."""
+    table = [0]
+    for word in words:
+        table += [other | word for other in table]
+    return table
+
+
+def _edge_masks(p: int) -> Iterator[tuple[int, bytes]]:
+    """(edge mask, adjacency) of every graph on p labeled nodes.
+
+    Masks come in increasing order.  Each is split into a low and a high
+    half whose words are tabulated once, so a graph's word is one OR.
+    """
+    words = _pair_words(p)
+    split = len(words) // 2
+    low = _subset_words(words[:split])
+    mask = 0
+    for high in _subset_words(words[split:]):
+        for word in low:
+            yield mask, (high | word).to_bytes(p, "little")
+            mask += 1
+
+
+def _edges(names: tuple[str, ...], adj: bytes) -> list[tuple[str, str]]:
+    """The edges of an adjacency, as name pairs in lexicographic order."""
+    p = len(names)
+    return [(names[i], names[j]) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
+
+
+def _statuses(adj: Sequence[int]) -> list[int] | None:
+    """Every node's status from adjacency bitmasks; None when disconnected.
+
+    Each source runs a level-synchronous BFS on bitsets.  The first
+    level is the source's adjacency; each later level is the set of
+    unreached nodes adjacent to the previous one, found by scanning the
+    unreached nodes (few, in dense graphs).  The status is the sum over
+    k >= 0 of the number of nodes farther than k, so every level adds the
+    count still unreached.  The first source's BFS doubles as the
+    connectivity check.
+    """
+    p = len(adj)
+    full = (1 << p) - 1
+    statuses = []
+    for source in range(p):
+        frontier = adj[source]
+        rest = full & ~frontier & ~(1 << source)
+        status = p - 1
+        while rest:
+            status += rest.bit_count()
+            reached = 0
+            for v in _MEMBERS[rest]:
+                if adj[v] & frontier:
+                    reached |= 1 << v
+            if not reached:
+                return None
+            rest ^= reached
+            frontier = reached
+        statuses.append(status)
+    return statuses
+
+
+def _connected_statuses(p: int) -> Iterator[tuple[int, bytes, list[int]]]:
+    """(edge mask, adjacency, statuses) of every labeled connected graph
+    on p nodes, in increasing mask order."""
+    for mask, adj in _edge_masks(p):
+        statuses = _statuses(adj)
+        if statuses is not None:
+            yield mask, adj, statuses
+
+
 def enumerate_connected_graphs(p: int) -> Iterator[FiniteGraph]:
     """Yield every labeled connected simple graph on p nodes exactly once.
 
-    Iterates all 2^(p(p-1)/2) edge subsets with a bitmask connectivity
-    filter; supported for 1 <= p <= 7.
+    Iterates all 2^(p(p-1)/2) edge masks in increasing order, with a
+    bitmask connectivity filter; supported for 1 <= p <= 7.
     """
-    if not isinstance(p, int) or not 1 <= p <= MAX_ENUMERATION_NODES:
-        raise GraphError(f"enumeration supports 1 <= p <= {MAX_ENUMERATION_NODES}, got {p!r}")
+    _check_enumeration_size(p, "enumeration")
     names = _node_names(p)
-    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    full = (1 << p) - 1
-    for mask in range(1 << len(pairs)):
-        adj = [0] * p
-        bits = mask
-        while bits:
-            k = (bits & -bits).bit_length() - 1
-            i, j = pairs[k]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            bits &= bits - 1
-        seen = 1
-        frontier = 1
-        while frontier:
-            reach = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                reach |= adj[v]
-                f &= f - 1
-            frontier = reach & ~seen
-            seen |= frontier
-        if seen == full:
-            edges = [
-                (names[i], names[j]) for k, (i, j) in enumerate(pairs) if mask >> k & 1
-            ]
-            yield FiniteGraph(names, edges)
+    for _, adj, _ in _connected_statuses(p):
+        yield FiniteGraph(names, _edges(names, adj))
+
+
+def count_bound_violations(p: int) -> tuple[int, int]:
+    """(connected graphs, nodes outside the status bounds) over every
+    labeled connected graph on p nodes, for 1 <= p <= 7.
+
+    Statuses are computed on adjacency bitmasks; no FiniteGraph is built.
+    """
+    _check_enumeration_size(p, "enumeration")
+    lower = p - 1
+    graphs = violations = 0
+    for mask, _, statuses in _connected_statuses(p):
+        graphs += 1
+        upper = status_bounds_values(p, mask.bit_count())[1]
+        if min(statuses) < lower or max(statuses) > upper:
+            violations += sum(not lower <= s <= upper for s in statuses)
+    return graphs, violations
 
 
 def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
     """Find witness nodes achieving the lower and the upper status bound.
 
     Searches connected labeled graphs with exactly p nodes and q edges in
-    deterministic order and returns the first witness for each bound.
+    deterministic order (edge combinations in lexicographic order) and
+    returns the first witness for each bound: the first node of the first
+    graph that achieves it.  Statuses are computed on adjacency bitmasks;
+    a FiniteGraph is built only for a graph that supplies a witness.
     Both witnesses exist for every q with p - 1 <= q <= p(p-1)/2.
     """
-    if not isinstance(p, int) or not 1 <= p <= MAX_ENUMERATION_NODES:
-        raise GraphError(f"search supports 1 <= p <= {MAX_ENUMERATION_NODES}, got {p!r}")
+    _check_enumeration_size(p, "search")
     if not p - 1 <= q <= p * (p - 1) // 2:
         raise GraphError(
             f"q={q} outside the feasible range [{p - 1}, {p * (p - 1) // 2}] for p={p}"
         )
     names = _node_names(p)
-    pairs = [(names[i], names[j]) for i in range(p) for j in range(i + 1, p)]
     lower, upper = status_bounds_values(p, q)
     lower_witness: Witness | None = None
     upper_witness: Witness | None = None
-    for combo in combinations(pairs, q):
-        graph = FiniteGraph(names, combo)
-        if not graph.is_connected():
+    for combo in combinations(_pair_words(p), q):
+        adj = sum(combo).to_bytes(p, "little")  # pair words share no bits
+        statuses = _statuses(adj)
+        if statuses is None:
             continue
-        for node in names:
-            s = graph.status(node)
-            if lower_witness is None and s == lower:
-                lower_witness = Witness(graph, node, s)
-            if upper_witness is None and s == upper:
-                upper_witness = Witness(graph, node, s)
+        found_lower = lower_witness is None and lower in statuses
+        found_upper = upper_witness is None and upper in statuses
+        if found_lower or found_upper:
+            graph = FiniteGraph(names, _edges(names, adj))
+            if found_lower:
+                lower_witness = Witness(graph, names[statuses.index(lower)], lower)
+            if found_upper:
+                upper_witness = Witness(graph, names[statuses.index(upper)], upper)
         if lower_witness is not None and upper_witness is not None:
             return lower_witness, upper_witness
     raise GraphError(

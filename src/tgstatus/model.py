@@ -232,6 +232,10 @@ def _get_list(obj: dict[str, Any], key: str, context: str) -> list[Any]:
     return value
 
 
+def _get_optional_list(obj: dict[str, Any], key: str, context: str) -> list[Any]:
+    return _get_list(obj, key, context) if key in obj else []
+
+
 def _document_rank(obj: dict[str, Any]) -> int:
     if "rank" not in obj:
         raise DocumentError("document: missing 'rank'")
@@ -382,7 +386,7 @@ def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
 
     pairs: list[tuple[str, str]] = []
     seen_pairs: set[tuple[str, str]] = set()
-    for raw in obj.get("nondisconnectable_pairs", []):
+    for raw in _get_optional_list(obj, "nondisconnectable_pairs", "document"):
         if (
             not isinstance(raw, list)
             or len(raw) != 2
@@ -404,7 +408,7 @@ def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
         pairs.append(pair)
 
     include: list[str] = []
-    for raw in obj.get("include_singletons", []):
+    for raw in _get_optional_list(obj, "include_singletons", "document"):
         if not isinstance(raw, str):
             raise DocumentError(f"include_singletons: entry {raw!r} must be a mu-node id")
         if raw not in mu_ids:

@@ -25,6 +25,15 @@ def golden(name):
     return (GOLDEN / name).read_text()
 
 
+def assert_no_nodes_input_error(command, tmp_path):
+    doc = tmp_path / "empty.json"
+    doc.write_text('{"rank": 0, "nodes": [], "edges": []}')
+    result = run(command, doc)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {doc}: bounds need at least one node\n"
+
+
 class TestValidate:
     def test_pass(self):
         result = run("validate", sample("g1"))
@@ -55,6 +64,16 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert run("validate", bad).exit_code == 2
+
+    @pytest.mark.parametrize("key", ["nondisconnectable_pairs", "include_singletons"])
+    def test_optional_entry_not_an_array_exit_2(self, tmp_path, key):
+        doc = json.loads(sample("g3").read_text())
+        doc[key] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = run("validate", bad)
+        assert result.exit_code == 2
+        assert "must be an array" in result.output
 
 
 class TestReplace:
@@ -169,6 +188,9 @@ class TestBounds:
         doc.write_text('{"rank": 0, "nodes": ["a", "b"], "edges": []}')
         assert run("bounds", doc).exit_code == 1
 
+    def test_rank0_without_nodes_exit_2(self, tmp_path):
+        assert_no_nodes_input_error("bounds", tmp_path)
+
 
 class TestEjsCheck:
     def test_ok(self):
@@ -185,6 +207,9 @@ class TestEjsCheck:
 
     def test_transfinite_rejected(self):
         assert run("ejs-check", sample("g1")).exit_code == 2
+
+    def test_rank0_without_nodes_exit_2(self, tmp_path):
+        assert_no_nodes_input_error("ejs-check", tmp_path)
 
 
 class TestVerifyEjs:
@@ -225,3 +250,22 @@ class TestExtremal:
     def test_unknown_flag_and_command(self):
         assert run("extremal", "--p", 4).exit_code == 2
         assert run("bogus").exit_code == 2
+
+
+# Goldens of the exhaustive kernels; each is the concatenated output of
+# its command lines.
+KERNEL_GOLDENS = {
+    "extremal_p7.txt": [("extremal", "--p", 7, "--q", q) for q in range(6, 22)],
+    "extremal_p6_q9.json": [("extremal", "--p", 6, "--q", 9, "--json")],
+    "verify_ejs_max6.txt": [("verify-ejs", "--max-p", 6)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GOLDENS))
+def test_exhaustive_kernel_golden(name):
+    outputs = []
+    for args in KERNEL_GOLDENS[name]:
+        result = run(*args)
+        assert result.exit_code == 0, args
+        outputs.append(result.output)
+    assert "".join(outputs) == golden(name)

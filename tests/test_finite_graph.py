@@ -1,5 +1,7 @@
 """Tests for the finite graph substrate, enumeration and extremal search."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,9 @@ from tgstatus.finite_graph import (
     FiniteGraph,
     GraphError,
     MAX_ENUMERATION_NODES,
+    _edge_masks,
+    _statuses,
+    count_bound_violations,
     enumerate_connected_graphs,
     extremal_search,
     status_bounds_values,
@@ -157,6 +162,48 @@ class TestEnumeration:
             list(enumerate_connected_graphs(0))
         with pytest.raises(GraphError):
             list(enumerate_connected_graphs(MAX_ENUMERATION_NODES + 1))
+
+
+def graph_of_mask(p, mask):
+    """(nodes, edges, adjacency bitmasks) of an edge mask, built directly."""
+    nodes = list(range(p))
+    edges = [pair for k, pair in enumerate(combinations(nodes, 2)) if mask >> k & 1]
+    adj = [0] * p
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return nodes, edges, adj
+
+
+class TestBitmaskKernel:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_statuses_match_oracle_on_every_edge_mask(self, p):
+        for mask in range(1 << (p * (p - 1) // 2)):
+            nodes, edges, adj = graph_of_mask(p, mask)
+            expected = [oracle_status(nodes, edges, v) for v in nodes]
+            if None in expected:
+                assert all(s is None for s in expected)
+                assert _statuses(adj) is None, (p, mask)
+            else:
+                assert _statuses(adj) == expected, (p, mask)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_edge_masks_in_order_with_their_adjacency(self, p):
+        seen = list(_edge_masks(p))
+        assert [mask for mask, _ in seen] == list(range(1 << (p * (p - 1) // 2)))
+        for mask, adj in seen:
+            assert list(adj) == graph_of_mask(p, mask)[2]
+
+    @pytest.mark.parametrize(
+        "p, count", [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)]
+    )
+    def test_count_bound_violations_matches_a001187(self, p, count):
+        assert count_bound_violations(p) == (count, 0)
+
+    @pytest.mark.parametrize("p", [0, MAX_ENUMERATION_NODES + 1, 3.0, "3"])
+    def test_count_bound_violations_rejects_unsupported_p(self, p):
+        with pytest.raises(GraphError):
+            count_bound_violations(p)
 
 
 class TestExtremalSearch:

@@ -141,6 +141,14 @@ class TestParsing:
             with pytest.raises(DocumentError):
                 parse_document(json.dumps(obj))
 
+    @pytest.mark.parametrize("key", ["nondisconnectable_pairs", "include_singletons"])
+    @pytest.mark.parametrize("value", [5, "X1", None, {"X1": 1}])
+    def test_rejects_optional_entry_that_is_not_an_array(self, key, value):
+        obj = json.loads(minimal())
+        obj[key] = value
+        with pytest.raises(DocumentError, match=f"{key}' must be an array"):
+            parse_document(json.dumps(obj))
+
     def test_pair_normalization(self):
         obj = json.loads(minimal())
         obj["nondisconnectable_pairs"] = [["t2", "t1"]]
