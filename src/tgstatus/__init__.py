@@ -28,19 +28,16 @@ from .model import (
     ValidationFailed,
     ValidationReport,
     Violation,
-    classify_mu_nodes,
     load_document,
     parse_document,
     parse_finite_document,
     rank0_document,
-    section_degree,
     validate,
 )
 from .ordinal import (
     Ordinal,
     OrdinalParseError,
     ZERO,
-    compare,
     format_ordinal,
     omega_term,
     parse_ordinal,
@@ -53,10 +50,8 @@ from .replacement import (
     iter_simple_paths,
     path_mu_length,
     translate_path,
-    verify_length_relation,
 )
 from .status import (
-    KIND_INCLUDED_SINGLETON,
     KIND_MU_NODE,
     KIND_SECTION_REPRESENTATIVE,
     MuBounds,
@@ -79,7 +74,6 @@ __all__ = [
     "FiniteGraph",
     "GraphError",
     "InternalNode",
-    "KIND_INCLUDED_SINGLETON",
     "KIND_MU_NODE",
     "KIND_SECTION_REPRESENTATIVE",
     "MAX_ENUMERATION_NODES",
@@ -101,8 +95,6 @@ __all__ = [
     "Witness",
     "ZERO",
     "build_replacement",
-    "classify_mu_nodes",
-    "compare",
     "enumerate_connected_graphs",
     "extremal_search",
     "format_ordinal",
@@ -118,11 +110,9 @@ __all__ = [
     "parse_ordinal",
     "path_mu_length",
     "rank0_document",
-    "section_degree",
     "status_bounds_values",
     "status_report",
     "translate_path",
     "validate",
-    "verify_length_relation",
     "__version__",
 ]

@@ -139,13 +139,8 @@ def replace(file: str, as_dot: bool, as_json: bool) -> None:
         return
     click.echo(f"p: {result.graph.p}")
     click.echo(f"q: {result.graph.q}")
-    for node in result.graph.nodes:
-        if node in result.mu_node_of_node:
-            click.echo(f"{node} mu-node {result.mu_node_of_node[node]}")
-        elif node in result.section_of_node:
-            click.echo(f"{node} section {result.section_of_node[node]}")
-        else:
-            click.echo(f"{node} singleton {result.singleton_of_node[node]}")
+    for node, (kind, element) in result.origin.items():
+        click.echo(f"{node} {kind} {element}")
     for u, v in result.graph.edges:
         click.echo(f"{u} -- {v}")
 
@@ -176,14 +171,11 @@ def _report_lines(report: StatusReport, with_entries: bool = True) -> list[str]:
 def status(file: str, node_id: str | None, walk_based: bool, as_json: bool) -> None:
     """Report the statuses and bounds of a transfinite document."""
     graph = _load_transfinite(file)
-    try:
-        report = status_report(graph, walk_based=walk_based)
-    except ValidationFailed as exc:
-        _validation_failure(exc)
     if node_id is not None:
-        result = build_replacement(graph, walk_based=walk_based)
         try:
-            value = mu_status(graph, result, node_id)
+            value = mu_status(graph, build_replacement(graph, walk_based=walk_based), node_id)
+        except ValidationFailed as exc:
+            _validation_failure(exc)
         except StatusError as exc:
             _input_error(str(exc))
         if as_json:
@@ -191,6 +183,10 @@ def status(file: str, node_id: str | None, walk_based: bool, as_json: bool) -> N
         else:
             click.echo(str(value))
         return
+    try:
+        report = status_report(graph, walk_based=walk_based)
+    except ValidationFailed as exc:
+        _validation_failure(exc)
     if as_json:
         _echo_json(report.to_json_obj())
     else:

@@ -31,12 +31,10 @@ __all__ = [
     "ValidationFailed",
     "ValidationReport",
     "Violation",
-    "classify_mu_nodes",
     "load_document",
     "parse_document",
     "parse_finite_document",
     "rank0_document",
-    "section_degree",
     "validate",
 ]
 
@@ -70,7 +68,7 @@ class MuNode:
     def is_nonsingleton(self) -> bool:
         return len(self.tips) >= 2
 
-    @property
+    @cached_property
     def incident_sections(self) -> tuple[str, ...]:
         """Distinct home sections of the tips, in tip declaration order.
 
@@ -130,9 +128,36 @@ class TransfiniteGraph:
             for internal in section.internal_nodes
         }
 
-    @property
+    @cached_property
     def nonsingleton_mu_nodes(self) -> tuple[MuNode, ...]:
         return tuple(m for m in self.mu_nodes if m.is_nonsingleton)
+
+    @cached_property
+    def incidence(self) -> dict[str, tuple[str, ...]]:
+        """Adjacency of the replacement structure, keyed by element id.
+
+        Keys are the nonsingleton mu-nodes, then the sections, then the
+        included singletons that name singleton mu-nodes, each group in
+        declaration order.  A mu-node's neighbours are its incident
+        sections; a section's are its nonsingleton mu-nodes, then its
+        included singletons; a singleton's is its home section.
+        Incidences with undeclared sections are left out.
+        """
+        singletons = [
+            mu_id
+            for mu_id in self.include_singletons
+            if mu_id in self._mu_index and not self._mu_index[mu_id].is_nonsingleton
+        ]
+        adjacency: dict[str, list[str]] = {m.id: [] for m in self.nonsingleton_mu_nodes}
+        adjacency.update((section.id, []) for section in self.sections)
+        adjacency.update((mu_id, []) for mu_id in singletons)
+        links = [(m.id, home) for m in self.nonsingleton_mu_nodes for home in m.incident_sections]
+        links += [(mu_id, self._mu_index[mu_id].tips[0].section) for mu_id in singletons]
+        for element, home in links:
+            if home in self._section_index:
+                adjacency[element].append(home)
+                adjacency[home].append(element)
+        return {element: tuple(neighbours) for element, neighbours in adjacency.items()}
 
     def has_section(self, section_id: str) -> bool:
         return section_id in self._section_index
@@ -151,12 +176,6 @@ class TransfiniteGraph:
             return self._mu_index[mu_id]
         except KeyError:
             raise KeyError(f"unknown mu-node {mu_id!r}") from None
-
-    def owner_of_tip(self, tip_id: str) -> MuNode:
-        try:
-            return self._tip_owner[tip_id]
-        except KeyError:
-            raise KeyError(f"unknown tip {tip_id!r}") from None
 
     def section_of_internal(self, internal_id: str) -> Section | None:
         return self._internal_home.get(internal_id)
@@ -200,6 +219,8 @@ def _json_object(text: str) -> dict[str, Any]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
     return obj
@@ -534,30 +555,11 @@ def validate(graph: TransfiniteGraph, walk_based: bool = False) -> ValidationRep
 
 
 def _unreached_replacement_nodes(graph: TransfiniteGraph) -> tuple[str, ...]:
-    """Ids of replacement-graph constituents not reached from the first one.
-
-    Works directly on the incidence structure so it does not depend on
-    the replacement construction itself.
-    """
-    elements: list[str] = [section.id for section in graph.sections]
-    adjacency: dict[str, list[str]] = {section.id: [] for section in graph.sections}
-    for mu_node in graph.nonsingleton_mu_nodes:
-        elements.append(mu_node.id)
-        adjacency[mu_node.id] = []
-        for home in mu_node.incident_sections:
-            if home in adjacency:
-                adjacency[mu_node.id].append(home)
-                adjacency[home].append(mu_node.id)
-    for mu_id in graph.include_singletons:
-        mu_node = graph._mu_index.get(mu_id)
-        if mu_node is None or mu_node.is_nonsingleton:
-            continue
-        elements.append(mu_id)
-        adjacency[mu_id] = []
-        home = mu_node.tips[0].section
-        if home in adjacency:
-            adjacency[mu_id].append(home)
-            adjacency[home].append(mu_id)
+    """Ids of replacement-graph constituents not reached from the first
+    section, sections first, then mu-nodes, then included singletons."""
+    adjacency = graph.incidence
+    elements = [section.id for section in graph.sections]
+    elements += [element for element in adjacency if not graph.has_section(element)]
     if not elements:
         return ()
     reached = {elements[0]}
@@ -569,20 +571,3 @@ def _unreached_replacement_nodes(graph: TransfiniteGraph) -> tuple[str, ...]:
                 reached.add(neighbor)
                 stack.append(neighbor)
     return tuple(element for element in elements if element not in reached)
-
-
-def classify_mu_nodes(graph: TransfiniteGraph) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Partition mu-node ids into (nonsingleton, singleton), declaration order."""
-    nonsingleton = tuple(m.id for m in graph.mu_nodes if m.is_nonsingleton)
-    singleton = tuple(m.id for m in graph.mu_nodes if not m.is_nonsingleton)
-    return nonsingleton, singleton
-
-
-def section_degree(graph: TransfiniteGraph, section_id: str) -> int:
-    """Number of distinct nonsingleton mu-nodes incident to the section."""
-    section = graph.section(section_id)
-    return sum(
-        1
-        for mu_node in graph.nonsingleton_mu_nodes
-        if section.id in mu_node.incident_sections
-    )

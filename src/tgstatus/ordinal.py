@@ -17,7 +17,6 @@ __all__ = [
     "Ordinal",
     "OrdinalParseError",
     "ZERO",
-    "compare",
     "format_ordinal",
     "omega_term",
     "parse_ordinal",
@@ -131,13 +130,6 @@ def omega_term(mu: int, n: int) -> Ordinal:
     if n == 0:
         return ZERO
     return Ordinal(((mu, n),))
-
-
-def compare(a: Ordinal, b: Ordinal) -> int:
-    """Three-way ordinal comparison: -1 (less), 0 (equal), 1 (greater)."""
-    if a.terms == b.terms:
-        return 0
-    return -1 if a.terms < b.terms else 1
 
 
 def _format_term(exp: int, coeff: int) -> str:

@@ -25,7 +25,6 @@ __all__ = [
     "iter_simple_paths",
     "path_mu_length",
     "translate_path",
-    "verify_length_relation",
 ]
 
 
@@ -51,15 +50,16 @@ class AbstractPath:
 
 @dataclass(frozen=True)
 class ReplacementResult:
-    """A finite 0-graph plus the correspondence with its source graph."""
+    """A finite 0-graph plus the correspondence with its source graph.
+
+    ``zero_node`` maps each mu-node, section and included singleton to
+    its 0-node; ``origin`` maps each 0-node back to ``(kind, element)``,
+    with kind ``"mu-node"``, ``"section"`` or ``"singleton"``.
+    """
 
     graph: FiniteGraph
-    node_of_mu_node: dict[str, str]
-    node_of_section: dict[str, str]
-    node_of_singleton: dict[str, str]
-    mu_node_of_node: dict[str, str]
-    section_of_node: dict[str, str]
-    singleton_of_node: dict[str, str]
+    zero_node: dict[str, str]
+    origin: dict[str, tuple[str, str]]
 
 
 def build_replacement(
@@ -77,39 +77,20 @@ def build_replacement(
     if not report.passed:
         raise ValidationFailed(report)
 
-    nodes: list[str] = []
-    node_of_mu_node: dict[str, str] = {}
-    for mu_node in graph.nonsingleton_mu_nodes:
-        node_of_mu_node[mu_node.id] = mu_node.id
-        nodes.append(mu_node.id)
-    node_of_section: dict[str, str] = {}
-    for section in graph.sections:
-        node_of_section[section.id] = section.representative
-        nodes.append(section.representative)
-    node_of_singleton: dict[str, str] = {}
-    for mu_id in graph.include_singletons:
-        node_of_singleton[mu_id] = mu_id
-        nodes.append(mu_id)
+    origin = {m.id: ("mu-node", m.id) for m in graph.nonsingleton_mu_nodes}
+    origin.update((s.representative, ("section", s.id)) for s in graph.sections)
+    origin.update((mu_id, ("singleton", mu_id)) for mu_id in graph.include_singletons)
+    zero_node = {element: node for node, (_, element) in origin.items()}
 
-    edges: list[tuple[str, str]] = []
-    for section in graph.sections:
-        center = node_of_section[section.id]
-        for mu_node in graph.nonsingleton_mu_nodes:
-            if section.id in mu_node.incident_sections:
-                edges.append((center, node_of_mu_node[mu_node.id]))
-    for mu_id in graph.include_singletons:
-        home = graph.mu_node(mu_id).tips[0].section
-        edges.append((node_of_section[home], node_of_singleton[mu_id]))
-
-    return ReplacementResult(
-        graph=FiniteGraph(nodes, edges),
-        node_of_mu_node=node_of_mu_node,
-        node_of_section=node_of_section,
-        node_of_singleton=node_of_singleton,
-        mu_node_of_node={v: k for k, v in node_of_mu_node.items()},
-        section_of_node={v: k for k, v in node_of_section.items()},
-        singleton_of_node={v: k for k, v in node_of_singleton.items()},
-    )
+    adjacency = graph.incidence
+    edges = [
+        (zero_node[section.id], neighbor)
+        for section in graph.sections
+        for neighbor in adjacency[section.id]
+        if origin[neighbor][0] == "mu-node"
+    ]
+    edges += [(zero_node[adjacency[mu_id][0]], mu_id) for mu_id in graph.include_singletons]
+    return ReplacementResult(FiniteGraph(origin, edges), zero_node, origin)
 
 
 def _resolve_elements(
@@ -170,31 +151,18 @@ def translate_path(result: ReplacementResult, path: AbstractPath) -> list[str]:
         raise PathError("a path needs at least one element")
     sequence: list[str] = []
     for element in path.elements:
-        if element in result.node_of_mu_node:
-            sequence.append(result.node_of_mu_node[element])
-        elif element in result.node_of_section:
-            sequence.append(result.node_of_section[element])
-        elif element in result.node_of_singleton:
-            sequence.append(result.node_of_singleton[element])
-        else:
+        if element not in result.zero_node:
             raise PathError(
                 f"element {element!r} has no replacement 0-node (unknown id or a "
                 "singleton mu-node that is not included)"
             )
+        sequence.append(result.zero_node[element])
     if len(set(sequence)) != len(sequence):
         raise PathError("path visits a 0-node twice")
     for u, v in zip(sequence, sequence[1:]):
         if not result.graph.has_edge(u, v):
             raise PathError(f"0-nodes {u!r} and {v!r} are not adjacent")
     return sequence
-
-
-def verify_length_relation(
-    graph: TransfiniteGraph, result: ReplacementResult, path: AbstractPath
-) -> bool:
-    """Whether the path length equals w^mu times its 0-image's length."""
-    branches = len(translate_path(result, path)) - 1
-    return path_mu_length(graph, path) == omega_term(graph.rank, 1).scale(branches)
 
 
 def iter_simple_paths(
@@ -206,18 +174,7 @@ def iter_simple_paths(
     Both orientations of each path are produced.  Intended for
     desk-scale instances; the count grows quickly with density.
     """
-    elements: list[str] = [m.id for m in graph.nonsingleton_mu_nodes]
-    elements += [section.id for section in graph.sections]
-    elements += list(graph.include_singletons)
-    adjacency: dict[str, list[str]] = {element: [] for element in elements}
-    for mu_node in graph.nonsingleton_mu_nodes:
-        for home in mu_node.incident_sections:
-            adjacency[mu_node.id].append(home)
-            adjacency[home].append(mu_node.id)
-    for mu_id in graph.include_singletons:
-        home = graph.mu_node(mu_id).tips[0].section
-        adjacency[mu_id].append(home)
-        adjacency[home].append(mu_id)
+    adjacency = graph.incidence
 
     def extend(trail: list[str]) -> Iterator[AbstractPath]:
         if len(trail) >= 2 or include_trivial:
@@ -228,5 +185,5 @@ def iter_simple_paths(
                 yield from extend(trail)
                 trail.pop()
 
-    for start in elements:
+    for start in adjacency:
         yield from extend([start])

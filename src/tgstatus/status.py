@@ -20,7 +20,6 @@ from .ordinal import Ordinal, omega_term
 from .replacement import AbstractPath, ReplacementResult, build_replacement
 
 __all__ = [
-    "KIND_INCLUDED_SINGLETON",
     "KIND_MU_NODE",
     "KIND_SECTION_REPRESENTATIVE",
     "MuBounds",
@@ -36,7 +35,6 @@ __all__ = [
 
 KIND_MU_NODE = "mu-node"
 KIND_SECTION_REPRESENTATIVE = "section-representative"
-KIND_INCLUDED_SINGLETON = "included-singleton"
 
 
 class StatusError(ValueError):
@@ -91,48 +89,46 @@ class StatusReport:
         return obj
 
 
+def _zero_node(
+    graph: TransfiniteGraph, result: ReplacementResult, node_id: str
+) -> str | None:
+    """0-node at which a mu-node or internal node stands.
+
+    An internal node stands at its section's 0-node.  None for a
+    singleton mu-node that is not included in the replacement.
+    """
+    home = graph.section_of_internal(node_id)
+    if home is not None:
+        return result.zero_node[home.id]
+    if graph.has_mu_node(node_id):
+        return result.zero_node.get(node_id)
+    raise StatusError(f"unknown node id {node_id!r}")
+
+
 def _resolve_target(
     graph: TransfiniteGraph, result: ReplacementResult, node_id: str
 ) -> str:
     """0-node standing for node_id when used as a distance endpoint."""
-    if node_id in result.node_of_mu_node:
-        return result.node_of_mu_node[node_id]
-    home = graph.section_of_internal(node_id)
-    if home is not None:
-        return result.node_of_section[home.id]
-    if node_id in result.node_of_singleton:
-        return result.node_of_singleton[node_id]
-    if graph.has_mu_node(node_id):
+    node = _zero_node(graph, result, node_id)
+    if node is None:
         raise StatusError(
             f"no path-based distance exists for singleton mu-node {node_id!r}; "
             "it is not included in the replacement"
         )
-    raise StatusError(f"unknown node id {node_id!r}")
+    return node
 
 
 def _resolve_source(
     graph: TransfiniteGraph, result: ReplacementResult, node_id: str
 ) -> str:
     """0-node for a status source: a nonsingleton mu-node or internal node."""
-    if node_id in result.node_of_mu_node:
-        return result.node_of_mu_node[node_id]
-    home = graph.section_of_internal(node_id)
-    if home is not None:
-        return result.node_of_section[home.id]
-    if graph.has_mu_node(node_id):
+    node = _zero_node(graph, result, node_id)
+    if node is None or result.origin[node][0] == "singleton":
         raise StatusError(
             f"status is defined only for nonsingleton nodes; {node_id!r} is a "
             "singleton mu-node"
         )
-    raise StatusError(f"unknown node id {node_id!r}")
-
-
-def _target_nodes(graph: TransfiniteGraph, result: ReplacementResult) -> list[str]:
-    """0-nodes summed over by a status, in deterministic order."""
-    targets = [result.node_of_mu_node[m.id] for m in graph.nonsingleton_mu_nodes]
-    targets += [result.node_of_section[section.id] for section in graph.sections]
-    targets += [result.node_of_singleton[mu_id] for mu_id in graph.include_singletons]
-    return targets
+    return node
 
 
 def mu_distance(
@@ -184,15 +180,7 @@ def geodesic(
             if dist[neighbor] == remaining - 1
         )
         sequence.append(current)
-    elements = []
-    for node in sequence:
-        if node in result.section_of_node:
-            elements.append(result.section_of_node[node])
-        elif node in result.mu_node_of_node:
-            elements.append(result.mu_node_of_node[node])
-        else:
-            elements.append(result.singleton_of_node[node])
-    return AbstractPath(tuple(elements))
+    return AbstractPath(tuple(result.origin[node][1] for node in sequence))
 
 
 def mu_status(graph: TransfiniteGraph, result: ReplacementResult, x: str) -> Ordinal:
@@ -202,7 +190,7 @@ def mu_status(graph: TransfiniteGraph, result: ReplacementResult, x: str) -> Ord
     source = _resolve_source(graph, result, x)
     dist = result.graph.bfs_distances(source)
     total = Ordinal()
-    for target in _target_nodes(graph, result):
+    for target in result.graph.nodes:
         hops = dist[target]
         if hops is None:
             raise StatusError(

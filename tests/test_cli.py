@@ -1,12 +1,15 @@
 """Tests for the command-line interface: outputs, exit codes, goldens."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from tgstatus.cli import main
+
+from helpers import document_text, random_document
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "sample_graphs"
@@ -65,6 +68,41 @@ class TestValidate:
         bad.write_text("{")
         assert run("validate", bad).exit_code == 2
 
+    def test_connectivity_lists_unreached_sections_first(self, tmp_path):
+        # The first mu-node (X0) and an included singleton (W2) lie
+        # outside the component of the first section.
+        doc = json.loads(sample("g1_with_singletons").read_text())
+        for n in (3, 4):
+            doc["sections"].append(
+                {
+                    "id": f"S{n}",
+                    "internal_nodes": [{"id": f"y{n}", "rank": 1, "nonsingleton": True}],
+                    "representative": f"y{n}",
+                }
+            )
+        doc["mu_nodes"].insert(
+            0, {"id": "X0", "tips": [{"id": "t6", "section": "S3"},
+                                    {"id": "t7", "section": "S4"}]}
+        )
+        doc["mu_nodes"].append({"id": "W2", "tips": [{"id": "t8", "section": "S4"}]})
+        doc["include_singletons"].append("W2")
+        path = tmp_path / "disconnected.json"
+        path.write_text(json.dumps(doc))
+        message = (
+            "connectivity: the replacement 0-graph is not connected; "
+            "unreached: S3, S4, X0, W2\n"
+        )
+        result = run("validate", path)
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "failed: 1 violation\n" + message + "note: distances within a section "
+            "are 0 by convention; section interiors do not affect computed quantities\n"
+        )
+        for command in ("replace", "status"):
+            result = run(command, path)
+            assert result.exit_code == 1
+            assert result.stderr == message + "error: validation failed\n"
+
     @pytest.mark.parametrize("key", ["nondisconnectable_pairs", "include_singletons"])
     def test_optional_entry_not_an_array_exit_2(self, tmp_path, key):
         doc = json.loads(sample("g3").read_text())
@@ -85,6 +123,17 @@ class TestReplace:
         assert "X1 mu-node X1" in lines
         assert "y2 section S2" in lines
         assert "X1 -- y2" in lines
+
+    @pytest.mark.parametrize("name", ["g1_with_singletons", "g3"])
+    def test_text_goldens(self, name):
+        result = run("replace", sample(name))
+        assert result.exit_code == 0
+        assert result.output == golden(f"{name}_replace.txt")
+
+    def test_json_golden(self):
+        result = run("replace", "--json", sample("g1_with_singletons"))
+        assert result.exit_code == 0
+        assert result.output == golden("g1_with_singletons_replace.json")
 
     def test_dot_golden(self):
         result = run("replace", "--dot", sample("g1"))
@@ -137,6 +186,33 @@ class TestStatus:
     def test_single_node_json(self):
         result = run("status", "--node", "y1", "--json", sample("g3"))
         assert json.loads(result.output) == {"id": "y1", "status": "w*10"}
+
+    def test_single_node_matches_full_report(self, tmp_path):
+        docs = [
+            json.loads(sample(name).read_text())
+            for name in ("g1", "g1_with_singletons", "g2", "g3")
+        ]
+        rng = random.Random(31)
+        docs += [random_document(rng) for _ in range(30)]
+        for index, doc in enumerate(docs):
+            path = tmp_path / f"doc{index}.json"
+            path.write_text(document_text(doc))
+            report = json.loads(run("status", "--json", path).output)
+            expected = {entry["id"]: entry["status"] for entry in report["nodes"]}
+            queries = {}
+            for section in doc["sections"]:
+                for internal in section["internal_nodes"]:
+                    queries[internal["id"]] = expected[section["representative"]]
+            for mu_node in doc["mu_nodes"]:
+                queries[mu_node["id"]] = expected.get(mu_node["id"])
+            for node, status in queries.items():
+                result = run("status", "--node", node, "--json", path)
+                if status is None:
+                    assert result.exit_code == 2, node
+                    assert result.stderr.startswith("error: status is defined only")
+                else:
+                    assert result.exit_code == 0, node
+                    assert json.loads(result.output) == {"id": node, "status": status}
 
     def test_unknown_node(self):
         assert run("status", "--node", "nope", sample("g3")).exit_code == 2
@@ -250,6 +326,16 @@ class TestExtremal:
     def test_unknown_flag_and_command(self):
         assert run("extremal", "--p", 4).exit_code == 2
         assert run("bogus").exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "status", "bounds", "ejs-check", "replace"])
+def test_deeply_nested_json_exit_2(tmp_path, command):
+    doc = tmp_path / "deep.json"
+    doc.write_text('{"rank": 1, "sections": ' + "[" * 100000)
+    result = run(command, doc)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {doc}: invalid JSON: nested too deeply\n"
 
 
 # Goldens of the exhaustive kernels; each is the concatenated output of

@@ -10,12 +10,10 @@ from tgstatus.finite_graph import FiniteGraph
 from tgstatus.model import (
     DocumentError,
     TransfiniteGraph,
-    classify_mu_nodes,
     load_document,
     parse_document,
     parse_finite_document,
     rank0_document,
-    section_degree,
     validate,
 )
 
@@ -58,7 +56,6 @@ class TestParsing:
         assert g.sections[0].representative == "y1"
         assert [n.id for n in g.sections[0].internal_nodes] == ["y1", "z1"]
         assert g.mu_node("X1").incident_sections == ("S1", "S2")
-        assert g.owner_of_tip("t3").id == "X2"
         assert g.section_of_internal("z1").id == "S1"
         assert g.section_of_internal("nope") is None
 
@@ -261,22 +258,25 @@ class TestValidation:
         assert report.passed, report.violations
 
 
-class TestQueries:
-    def test_classify(self):
-        assert classify_mu_nodes(parse_document(sample("g1"))) == (("X1", "X2"), ())
-        assert classify_mu_nodes(parse_document(sample("g1_with_singletons"))) == (
-            ("X1", "X2"),
-            ("W1",),
-        )
-
-    def test_section_degree(self):
-        g1 = parse_document(sample("g1"))
-        assert section_degree(g1, "S1") == 2
-        g2 = parse_document(sample("g2"))
-        assert section_degree(g2, "S1") == 1
-        with pytest.raises(KeyError):
-            section_degree(g1, "S9")
-
-    def test_singletons_do_not_count_toward_degree(self):
+class TestIncidence:
+    def test_g1_with_singletons(self):
         g = parse_document(sample("g1_with_singletons"))
-        assert section_degree(g, "S1") == 2
+        assert list(g.incidence.items()) == [
+            ("X1", ("S1", "S2")),
+            ("X2", ("S1", "S2")),
+            ("S1", ("X1", "X2", "W1")),
+            ("S2", ("X1", "X2")),
+            ("W1", ("S1",)),
+        ]
+
+    def test_collapsed_tips_and_excluded_singletons(self):
+        doc = json.loads(sample("g1_with_singletons"))
+        doc["include_singletons"] = []
+        doc["mu_nodes"][1]["tips"].append({"id": "t6", "section": "S1"})
+        g = parse_document(json.dumps(doc))
+        assert list(g.incidence.items()) == [
+            ("X1", ("S1", "S2")),
+            ("X2", ("S1", "S2")),
+            ("S1", ("X1", "X2")),
+            ("S2", ("X1", "X2")),
+        ]

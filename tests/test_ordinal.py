@@ -7,7 +7,6 @@ from tgstatus.ordinal import (
     Ordinal,
     OrdinalParseError,
     ZERO,
-    compare,
     format_ordinal,
     omega_term,
     parse_ordinal,
@@ -151,7 +150,6 @@ class TestOrder:
     @given(ordinals(), ordinals())
     def test_trichotomy(self, a, b):
         assert (a < b) + (a == b) + (a > b) == 1
-        assert compare(a, b) == (0 if a == b else (-1 if a < b else 1))
 
     @given(ordinals(), ordinals(), ordinals())
     def test_left_addition_preserves_order(self, a, b, c):

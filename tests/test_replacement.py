@@ -15,7 +15,6 @@ from tgstatus.replacement import (
     iter_simple_paths,
     path_mu_length,
     translate_path,
-    verify_length_relation,
 )
 
 from helpers import document_text, oracle_replacement, random_document
@@ -27,6 +26,12 @@ def load(name):
     return parse_document((SAMPLES / f"{name}.json").read_text())
 
 
+def length_relation_holds(graph, result, path):
+    """Whether the path length equals w^mu times its 0-image's length."""
+    branches = len(translate_path(result, path)) - 1
+    return path_mu_length(graph, path) == omega_term(graph.rank, branches)
+
+
 class TestBuildReplacement:
     def test_g1_four_cycle(self):
         result = build_replacement(load("g1"))
@@ -34,9 +39,13 @@ class TestBuildReplacement:
         assert g.nodes == ("X1", "X2", "y1", "y2")
         assert set(g.edges) == {("X1", "y1"), ("X2", "y1"), ("X1", "y2"), ("X2", "y2")}
         assert (g.p, g.q) == (4, 4)
-        assert result.node_of_section == {"S1": "y1", "S2": "y2"}
-        assert result.section_of_node == {"y1": "S1", "y2": "S2"}
-        assert result.node_of_mu_node == {"X1": "X1", "X2": "X2"}
+        assert result.zero_node == {"X1": "X1", "X2": "X2", "S1": "y1", "S2": "y2"}
+        assert result.origin == {
+            "X1": ("mu-node", "X1"),
+            "X2": ("mu-node", "X2"),
+            "y1": ("section", "S1"),
+            "y2": ("section", "S2"),
+        }
 
     def test_g2_single_edge(self):
         g = build_replacement(load("g2")).graph
@@ -57,7 +66,8 @@ class TestBuildReplacement:
         assert g.has_edge("W1", "y1")
         assert g.degree("W1") == 1
         assert (g.p, g.q) == (5, 5)
-        assert result.node_of_singleton == {"W1": "W1"}
+        assert result.zero_node["W1"] == "W1"
+        assert result.origin["W1"] == ("singleton", "W1")
 
     def test_validation_failure_raises(self):
         with pytest.raises(ValidationFailed) as excinfo:
@@ -93,7 +103,7 @@ class TestBuildReplacement:
             doc = random_document(rng)
             graph = parse_document(document_text(doc))
             result = build_replacement(graph)
-            centers = set(result.node_of_section.values())
+            centers = {result.zero_node[section.id] for section in graph.sections}
             for u, v in result.graph.edges:
                 assert (u in centers) != (v in centers)
 
@@ -190,17 +200,17 @@ class TestLengthRelation:
         result = build_replacement(g)
         count = 0
         for path in iter_simple_paths(g):
-            assert verify_length_relation(g, result, path)
+            assert length_relation_holds(g, result, path)
             count += 1
         assert count > 0
 
     def test_specific_instances(self):
         g = load("g1")
         result = build_replacement(g)
-        assert verify_length_relation(g, result, AbstractPath(("S1", "X1", "S2")))
+        assert length_relation_holds(g, result, AbstractPath(("S1", "X1", "S2")))
         g2 = load("g2")
         result2 = build_replacement(g2)
-        assert verify_length_relation(g2, result2, AbstractPath(("S1", "X1")))
+        assert length_relation_holds(g2, result2, AbstractPath(("S1", "X1")))
 
     def test_trivial_paths_when_requested(self):
         g = load("g2")
