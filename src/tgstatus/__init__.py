@@ -14,6 +14,7 @@ from .finite_graph import (
     GraphError,
     MAX_ENUMERATION_NODES,
     Witness,
+    count_bound_violations,
     enumerate_connected_graphs,
     extremal_search,
     status_bounds_values,
@@ -95,6 +96,7 @@ __all__ = [
     "Witness",
     "ZERO",
     "build_replacement",
+    "count_bound_violations",
     "enumerate_connected_graphs",
     "extremal_search",
     "format_ordinal",

@@ -13,6 +13,7 @@ from typing import NoReturn
 import click
 
 from .finite_graph import (
+    BoundsResult,
     FiniteGraph,
     GraphError,
     Witness,
@@ -63,9 +64,14 @@ def _load_finite(path: str) -> FiniteGraph:
         _input_error(f"{path}: {exc}")
 
 
-def _require_nodes(graph: FiniteGraph, path: str) -> None:
+def _rank0_statuses(graph: FiniteGraph, path: str) -> tuple[BoundsResult, dict[str, int]] | None:
+    """Bounds and every node's status of a rank-0 document, or None when
+    it is disconnected.  A document without nodes is an input error."""
     if graph.p == 0:
         _input_error(f"{path}: bounds need at least one node")
+    if not graph.is_connected():
+        return None
+    return graph.status_bounds(), {node: graph.status(node) for node in graph.nodes}
 
 
 def _load_any(path: str) -> TransfiniteGraph | FiniteGraph:
@@ -200,13 +206,11 @@ def bounds(file: str, as_json: bool) -> None:
     """Print p, q, the status bounds and which nodes achieve them."""
     doc = _load_any(file)
     if isinstance(doc, FiniteGraph):
-        _require_nodes(doc, file)
-        try:
-            result = doc.status_bounds()
-            statuses = {node: doc.status(node) for node in doc.nodes}
-        except GraphError as exc:
-            click.echo(f"error: {exc}", err=True)
+        rank0 = _rank0_statuses(doc, file)
+        if rank0 is None:
+            click.echo("error: bounds are undefined on a disconnected graph", err=True)
             sys.exit(EXIT_FAILURE)
+        result, statuses = rank0
         achieved_lower = tuple(n for n in doc.nodes if statuses[n] == result.lower)
         achieved_upper = tuple(n for n in doc.nodes if statuses[n] == result.upper)
         if as_json:
@@ -253,18 +257,17 @@ def bounds(file: str, as_json: bool) -> None:
 def ejs_check(file: str) -> None:
     """Verify the status bounds for every node of a rank-0 document."""
     graph = _load_finite(file)
-    _require_nodes(graph, file)
-    if not graph.is_connected():
+    rank0 = _rank0_statuses(graph, file)
+    if rank0 is None:
         click.echo("violation: graph is not connected")
         sys.exit(EXIT_FAILURE)
-    result = graph.status_bounds()
+    result, statuses = rank0
     click.echo(f"p: {result.p}")
     click.echo(f"q: {result.q}")
     click.echo(f"lower: {result.lower}")
     click.echo(f"upper: {result.upper}")
     violations = 0
-    for node in graph.nodes:
-        s = graph.status(node)
+    for node, s in statuses.items():
         if not result.lower <= s <= result.upper:
             click.echo(f"violation: node {node} status {s} outside [{result.lower}, {result.upper}]")
             violations += 1

@@ -12,7 +12,6 @@ labeled connected graphs, and an extremal search for bound witnesses.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
@@ -114,22 +113,66 @@ class FiniteGraph:
         dist = self.bfs_distances(self._nodes[0])
         return all(d is not None for d in dist.values())
 
-    def bfs_distances(self, source: str) -> dict[str, int | None]:
-        """Hop distances from source; unreachable nodes map to None."""
-        if source not in self._adj:
+    def bfs_distances(self, source: str, *, until: str | None = None) -> dict[str, int | None]:
+        """Hop distances from source; unreachable nodes map to None.
+
+        With until set, the search stops after the level that labels
+        until: every node at most that far from source is labeled
+        exactly, and every farther node maps to None.
+        """
+        adj = self._adj
+        if source not in adj:
             raise GraphError(f"unknown node {source!r}")
-        dist: dict[str, int | None] = {node: None for node in self._nodes}
+        if until is not None and until not in adj:
+            raise GraphError(f"unknown node {until!r}")
+        dist: dict[str, int | None] = dict.fromkeys(self._nodes)
         dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            base = dist[u]
-            assert base is not None
-            for v in self._adj[u]:
-                if dist[v] is None:
-                    dist[v] = base + 1
-                    queue.append(v)
+        frontier = [source]
+        level = 0
+        while frontier and (until is None or dist[until] is None):
+            level += 1
+            reached = []
+            for u in frontier:
+                for v in adj[u]:
+                    if dist[v] is None:
+                        dist[v] = level
+                        reached.append(v)
+            frontier = reached
         return dist
+
+    def hop_distance(self, a: str, b: str) -> int | None:
+        """Hop distance between a and b; None when they are not connected.
+
+        A level-synchronous BFS grows from both ends, each step expanding
+        the smaller frontier by one whole level.  Before a step the two
+        balls are disjoint and their radii sum to hops, so d(a, b) > hops;
+        a node the step reaches in the other ball closes a path of at
+        most hops + 1, which is therefore the distance.
+        """
+        adj = self._adj
+        for node in (a, b):
+            if node not in adj:
+                raise GraphError(f"unknown node {node!r}")
+        if a == b:
+            return 0
+        frontier, other_frontier = [a], [b]
+        seen, other_seen = {a}, {b}
+        hops = 0
+        while frontier and other_frontier:
+            if len(frontier) > len(other_frontier):
+                frontier, other_frontier = other_frontier, frontier
+                seen, other_seen = other_seen, seen
+            reached = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in seen:
+                        if v in other_seen:
+                            return hops + 1
+                        seen.add(v)
+                        reached.append(v)
+            frontier = reached
+            hops += 1
+        return None
 
     def status(self, node: str) -> int:
         """Sum of distances from node to all other nodes; needs connectivity."""

@@ -141,7 +141,7 @@ def mu_distance(
     """
     node_a = _resolve_target(graph, result, a)
     node_b = _resolve_target(graph, result, b)
-    hops = result.graph.bfs_distances(node_a)[node_b]
+    hops = result.graph.hop_distance(node_a, node_b)
     if hops is None:
         raise StatusError(
             f"no distance between {a!r} and {b!r}: the replacement graph is not connected"
@@ -164,22 +164,21 @@ def geodesic(
             f"{a!r} and {b!r} are at distance 0 (same node or same section); "
             "no geodesic between distinct 0-nodes exists"
         )
-    dist = result.graph.bfs_distances(node_b)
-    if dist[node_a] is None:
+    dist = result.graph.bfs_distances(node_b, until=node_a)
+    hops = dist[node_a]
+    if hops is None:
         raise StatusError(
             f"no path between {a!r} and {b!r}: the replacement graph is not connected"
         )
     sequence = [node_a]
-    current = node_a
-    while current != node_b:
-        remaining = dist[current]
-        assert remaining is not None
-        current = min(
-            neighbor
-            for neighbor in result.graph.neighbors(current)
-            if dist[neighbor] == remaining - 1
+    for remaining in range(hops - 1, -1, -1):
+        sequence.append(
+            min(
+                neighbor
+                for neighbor in result.graph.neighbors(sequence[-1])
+                if dist[neighbor] == remaining
+            )
         )
-        sequence.append(current)
     return AbstractPath(tuple(result.origin[node][1] for node in sequence))
 
 

@@ -247,6 +247,10 @@ class TestBounds:
         result = run("bounds", sample("path4"))
         assert result.output == golden("path4_bounds.txt")
 
+    def test_rank0_json_golden(self):
+        result = run("bounds", "--json", sample("path4"))
+        assert result.output == golden("path4_bounds.json")
+
     def test_rank0_json(self):
         obj = json.loads(run("bounds", "--json", sample("path4")).output)
         assert obj == {
@@ -269,6 +273,11 @@ class TestBounds:
 
 
 class TestEjsCheck:
+    def test_golden(self):
+        result = run("ejs-check", sample("path4"))
+        assert result.exit_code == 0
+        assert result.output == golden("path4_ejs_check.txt")
+
     def test_ok(self):
         result = run("ejs-check", sample("path4"))
         assert result.exit_code == 0

@@ -17,7 +17,7 @@ from tgstatus.finite_graph import (
     status_bounds_values,
 )
 
-from helpers import oracle_connected_count, oracle_status
+from helpers import oracle_bfs, oracle_connected_count, oracle_status
 
 
 def path_graph(n):
@@ -41,6 +41,16 @@ def connected_graphs(draw):
     ]
     chosen = draw(st.lists(st.sampled_from(extra), unique=True, max_size=5)) if extra else []
     return FiniteGraph(names, edges + chosen)
+
+
+@st.composite
+def any_graphs(draw):
+    """Graphs on up to 12 nodes with any edge set, so mostly disconnected."""
+    p = draw(st.integers(min_value=1, max_value=12))
+    names = [f"v{i}" for i in range(1, p + 1)]
+    pairs = list(combinations(names, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16)) if pairs else []
+    return FiniteGraph(names, edges)
 
 
 class TestConstruction:
@@ -104,6 +114,44 @@ class TestDistancesAndStatus:
     def test_unknown_source(self):
         with pytest.raises(GraphError):
             path_graph(2).bfs_distances("nope")
+
+    def test_unknown_until(self):
+        with pytest.raises(GraphError):
+            path_graph(2).bfs_distances("v1", until="nope")
+
+    @given(st.one_of(connected_graphs(), any_graphs()))
+    def test_bfs_until_labels_exactly_the_ball_reaching_until(self, g):
+        for source in g.nodes:
+            full = oracle_bfs(g.nodes, g.edges, source)
+            for until in g.nodes:
+                radius = full.get(until)
+                expected = {
+                    node: full[node]
+                    if node in full and (radius is None or full[node] <= radius)
+                    else None
+                    for node in g.nodes
+                }
+                assert g.bfs_distances(source, until=until) == expected
+
+    @given(st.one_of(connected_graphs(), any_graphs()))
+    def test_hop_distance_matches_oracle_on_every_pair(self, g):
+        for a in g.nodes:
+            dist = oracle_bfs(g.nodes, g.edges, a)
+            for b in g.nodes:
+                assert g.hop_distance(a, b) == dist.get(b)
+
+    def test_hop_distance_on_long_path_and_cycle(self):
+        g = path_graph(9)
+        assert g.hop_distance("v1", "v9") == 8
+        assert g.hop_distance("v3", "v3") == 0
+        cycle = FiniteGraph(g.nodes, g.edges + (("v1", "v9"),))
+        assert cycle.hop_distance("v2", "v7") == 4
+
+    def test_hop_distance_unknown_node(self):
+        g = path_graph(2)
+        for a, b in (("nope", "v1"), ("v1", "nope"), ("nope", "nope")):
+            with pytest.raises(GraphError):
+                g.hop_distance(a, b)
 
     @given(connected_graphs())
     def test_status_matches_oracle(self, g):

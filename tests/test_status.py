@@ -20,7 +20,13 @@ from tgstatus.status import (
     status_report,
 )
 
-from helpers import document_text, random_document
+from helpers import (
+    document_text,
+    oracle_bfs,
+    oracle_ordinal_text,
+    oracle_replacement,
+    random_document,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
 
@@ -32,6 +38,59 @@ def load(name):
 def loaded(name):
     g = load(name)
     return g, build_replacement(g)
+
+
+class OracleSession:
+    """Replacement-graph distances and geodesics from the raw document.
+
+    Every id maps to the 0-node it stands at (None for a singleton that
+    is not included); a section's 0-node is its representative.
+    """
+
+    def __init__(self, doc):
+        self.nodes, self.edges = oracle_replacement(doc)
+        self.adjacency = {node: set() for node in self.nodes}
+        for u, v in self.edges:
+            self.adjacency[u].add(v)
+            self.adjacency[v].add(u)
+        self.element = {node: node for node in self.nodes}
+        self.node_of = {}
+        for section in doc["sections"]:
+            self.element[section["representative"]] = section["id"]
+            for internal in section["internal_nodes"]:
+                self.node_of[internal["id"]] = section["representative"]
+        for mu_node in doc["mu_nodes"]:
+            self.node_of[mu_node["id"]] = (
+                mu_node["id"] if mu_node["id"] in self.adjacency else None
+            )
+        self._dist = {}
+
+    def dist(self, source):
+        if source not in self._dist:
+            self._dist[source] = oracle_bfs(self.nodes, self.edges, source)
+        return self._dist[source]
+
+    def geodesic(self, a, b):
+        """Walk from a's 0-node to the smallest neighbour one hop nearer
+        to b's, on full BFS distances from b's."""
+        node, target = self.node_of[a], self.node_of[b]
+        dist = self.dist(target)
+        sequence = [node]
+        while node != target:
+            node = min(n for n in self.adjacency[node] if dist.get(n) == dist[node] - 1)
+            sequence.append(node)
+        return AbstractPath(tuple(self.element[n] for n in sequence))
+
+
+def large_documents(seed, count, min_p=500):
+    """count random documents whose replacement has at least min_p 0-nodes."""
+    rng = random.Random(seed)
+    docs = []
+    while len(docs) < count:
+        doc = random_document(rng, max_k=700, max_m=700)
+        if len(oracle_replacement(doc)[0]) >= min_p:
+            docs.append(doc)
+    return docs
 
 
 class TestDistance:
@@ -71,6 +130,23 @@ class TestDistance:
             mu_distance(g, r, "X1", "nope")
 
 
+    def test_matches_oracle_on_large_documents(self):
+        pairs = 0
+        for doc in large_documents(seed=4, count=4):
+            g = parse_document(document_text(doc))
+            r = build_replacement(g)
+            oracle = OracleSession(doc)
+            rng = random.Random(len(oracle.nodes))
+            ids = sorted(i for i, node in oracle.node_of.items() if node is not None)
+            for a in rng.sample(ids, 25):
+                dist = oracle.dist(oracle.node_of[a])
+                for b in rng.sample(ids, 20):
+                    expected = oracle_ordinal_text(doc["rank"], dist[oracle.node_of[b]])
+                    assert str(mu_distance(g, r, a, b)) == expected
+                    pairs += 1
+        assert pairs == 2000
+
+
 class TestGeodesic:
     def test_lexicographic_tie_break(self):
         g, r = loaded("g1")
@@ -96,6 +172,31 @@ class TestGeodesic:
         g, r = loaded("g1")
         with pytest.raises(StatusError, match="distance 0"):
             geodesic(g, r, "y1", "z1")
+
+
+    def check_against_oracle(self, doc):
+        g = parse_document(document_text(doc))
+        r = build_replacement(g)
+        oracle = OracleSession(doc)
+        for a, node_a in oracle.node_of.items():
+            for b, node_b in oracle.node_of.items():
+                if node_a is None or node_b is None:
+                    with pytest.raises(StatusError, match="no path-based distance"):
+                        geodesic(g, r, a, b)
+                elif node_a == node_b:
+                    with pytest.raises(StatusError, match="distance 0"):
+                        geodesic(g, r, a, b)
+                else:
+                    assert geodesic(g, r, a, b) == oracle.geodesic(a, b)
+
+    @pytest.mark.parametrize("name", ["g1", "g1_with_singletons", "g2", "g3"])
+    def test_matches_oracle_on_all_pairs_of_samples(self, name):
+        self.check_against_oracle(json.loads((SAMPLES / f"{name}.json").read_text()))
+
+    def test_matches_oracle_on_all_pairs_of_random_documents(self):
+        rng = random.Random(91)
+        for _ in range(30):
+            self.check_against_oracle(random_document(rng))
 
 
 class TestStatus:
