@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import NoReturn
+from typing import Any, Callable, NoReturn, TypeVar
 
 import click
 
@@ -31,10 +31,12 @@ from .model import (
 )
 from .model import validate as validate_model
 from .replacement import build_replacement
-from .status import StatusError, StatusReport, mu_status, status_report
+from .status import StatusError, mu_status, status_report
 
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
+
+Doc = TypeVar("Doc")
 
 
 def _input_error(message: str) -> NoReturn:
@@ -42,24 +44,17 @@ def _input_error(message: str) -> NoReturn:
     sys.exit(EXIT_INPUT)
 
 
-def _read_file(path: str) -> str:
+def _load(path: str, parse: Callable[[str], Doc]) -> Doc:
+    """Read and parse a document; any problem is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         _input_error(f"cannot read {path}: {exc.strerror or exc}")
-
-
-def _load_transfinite(path: str) -> TransfiniteGraph:
+    except UnicodeDecodeError as exc:
+        _input_error(f"cannot read {path}: {exc}")
     try:
-        return parse_document(_read_file(path))
-    except DocumentError as exc:
-        _input_error(f"{path}: {exc}")
-
-
-def _load_finite(path: str) -> FiniteGraph:
-    try:
-        return parse_finite_document(_read_file(path))
+        return parse(text)
     except DocumentError as exc:
         _input_error(f"{path}: {exc}")
 
@@ -74,33 +69,47 @@ def _rank0_statuses(graph: FiniteGraph, path: str) -> tuple[BoundsResult, dict[s
     return graph.status_bounds(), {node: graph.status(node) for node in graph.nodes}
 
 
-def _load_any(path: str) -> TransfiniteGraph | FiniteGraph:
-    try:
-        return load_document(_read_file(path))
-    except DocumentError as exc:
-        _input_error(f"{path}: {exc}")
-
-
-def _validation_failure(exc: ValidationFailed) -> NoReturn:
-    for violation in exc.report.violations:
-        click.echo(f"{violation.condition}: {violation.message}", err=True)
-    click.echo("error: validation failed", err=True)
-    sys.exit(EXIT_FAILURE)
-
-
 def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" + ("" if n == 1 else "s")
-
-
-def _ids_or_none(ids: tuple[str, ...]) -> str:
-    return " ".join(ids) if ids else "(none)"
 
 
 def _echo_json(obj: object) -> None:
     click.echo(json.dumps(obj, indent=2))
 
 
-@click.group()
+def _echo_report(obj: dict[str, Any], as_json: bool) -> None:
+    """Print a report object as JSON, or as text in key order: `id kind status`
+    per entry of `nodes`, else `key: value`, a list space-joined or `(none)`."""
+    if as_json:
+        _echo_json(obj)
+        return
+    lines = []
+    for key, value in obj.items():
+        if key == "nodes":
+            lines.extend(f"{e['id']} {e['kind']} {e['status']}" for e in value)
+        elif isinstance(value, list):
+            lines.append(f"{key}: {' '.join(value) or '(none)'}")
+        else:
+            lines.append(f"{key}: {value}")
+    click.echo("\n".join(lines))
+
+
+class _Shell(click.Group):
+    """Maps the library's errors to exit codes for every command."""
+
+    def invoke(self, ctx: click.Context) -> Any:
+        try:
+            return super().invoke(ctx)
+        except ValidationFailed as exc:
+            for violation in exc.report.violations:
+                click.echo(f"{violation.condition}: {violation.message}", err=True)
+            click.echo("error: validation failed", err=True)
+            sys.exit(EXIT_FAILURE)
+        except (StatusError, GraphError) as exc:
+            _input_error(str(exc))
+
+
+@click.group(cls=_Shell)
 def main() -> None:
     """Statuses (sums of distances) in finite and transfinite graphs."""
 
@@ -110,7 +119,7 @@ def main() -> None:
 @click.option("--walk-based", is_flag=True, help="Skip the nondisconnectable-tips check.")
 def validate_command(file: str, walk_based: bool) -> None:
     """Check a transfinite document against the admissibility conditions."""
-    graph = _load_transfinite(file)
+    graph = _load(file, parse_document)
     report = validate_model(graph, walk_based)
     if report.passed:
         click.echo("passed")
@@ -132,11 +141,7 @@ def replace(file: str, as_dot: bool, as_json: bool) -> None:
     """Build and print the replacement 0-graph of a transfinite document."""
     if as_dot and as_json:
         _input_error("--dot and --json are mutually exclusive")
-    graph = _load_transfinite(file)
-    try:
-        result = build_replacement(graph)
-    except ValidationFailed as exc:
-        _validation_failure(exc)
+    result = build_replacement(_load(file, parse_document))
     if as_dot:
         click.echo(result.graph.to_dot(), nl=False)
         return
@@ -151,24 +156,6 @@ def replace(file: str, as_dot: bool, as_json: bool) -> None:
         click.echo(f"{u} -- {v}")
 
 
-def _report_lines(report: StatusReport, with_entries: bool = True) -> list[str]:
-    lines = [
-        f"rank: {report.rank}",
-        f"p: {report.p}",
-        f"q: {report.q}",
-        f"lower: {report.lower}",
-        f"upper: {report.upper}",
-    ]
-    if with_entries:
-        for entry in report.entries:
-            lines.append(f"{entry.id} {entry.kind} {entry.status}")
-    lines.append(f"achieved_lower: {_ids_or_none(report.achieved_lower)}")
-    lines.append(f"achieved_upper: {_ids_or_none(report.achieved_upper)}")
-    if report.included_singletons:
-        lines.append(f"included_singletons: {' '.join(report.included_singletons)}")
-    return lines
-
-
 @main.command()
 @click.argument("file")
 @click.option("--node", "node_id", default=None, help="Report one node's status only.")
@@ -176,27 +163,15 @@ def _report_lines(report: StatusReport, with_entries: bool = True) -> list[str]:
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def status(file: str, node_id: str | None, walk_based: bool, as_json: bool) -> None:
     """Report the statuses and bounds of a transfinite document."""
-    graph = _load_transfinite(file)
-    if node_id is not None:
-        try:
-            value = mu_status(graph, build_replacement(graph, walk_based=walk_based), node_id)
-        except ValidationFailed as exc:
-            _validation_failure(exc)
-        except StatusError as exc:
-            _input_error(str(exc))
-        if as_json:
-            _echo_json({"id": node_id, "status": str(value)})
-        else:
-            click.echo(str(value))
+    graph = _load(file, parse_document)
+    if node_id is None:
+        _echo_report(status_report(graph, walk_based=walk_based).to_json_obj(), as_json)
         return
-    try:
-        report = status_report(graph, walk_based=walk_based)
-    except ValidationFailed as exc:
-        _validation_failure(exc)
+    value = mu_status(graph, build_replacement(graph, walk_based=walk_based), node_id)
     if as_json:
-        _echo_json(report.to_json_obj())
+        _echo_json({"id": node_id, "status": str(value)})
     else:
-        click.echo("\n".join(_report_lines(report)))
+        click.echo(str(value))
 
 
 @main.command()
@@ -204,59 +179,36 @@ def status(file: str, node_id: str | None, walk_based: bool, as_json: bool) -> N
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def bounds(file: str, as_json: bool) -> None:
     """Print p, q, the status bounds and which nodes achieve them."""
-    doc = _load_any(file)
-    if isinstance(doc, FiniteGraph):
-        rank0 = _rank0_statuses(doc, file)
-        if rank0 is None:
-            click.echo("error: bounds are undefined on a disconnected graph", err=True)
-            sys.exit(EXIT_FAILURE)
-        result, statuses = rank0
-        achieved_lower = tuple(n for n in doc.nodes if statuses[n] == result.lower)
-        achieved_upper = tuple(n for n in doc.nodes if statuses[n] == result.upper)
-        if as_json:
-            _echo_json(
-                {
-                    "rank": 0,
-                    "p": result.p,
-                    "q": result.q,
-                    "lower": result.lower,
-                    "upper": result.upper,
-                    "achieved_lower": list(achieved_lower),
-                    "achieved_upper": list(achieved_upper),
-                }
-            )
-        else:
-            click.echo(
-                "\n".join(
-                    [
-                        "rank: 0",
-                        f"p: {result.p}",
-                        f"q: {result.q}",
-                        f"lower: {result.lower}",
-                        f"upper: {result.upper}",
-                        f"achieved_lower: {_ids_or_none(achieved_lower)}",
-                        f"achieved_upper: {_ids_or_none(achieved_upper)}",
-                    ]
-                )
-            )
-        return
-    try:
-        report = status_report(doc)
-    except ValidationFailed as exc:
-        _validation_failure(exc)
-    if as_json:
-        obj = report.to_json_obj()
+    doc = _load(file, load_document)
+    if isinstance(doc, TransfiniteGraph):
+        obj = status_report(doc).to_json_obj()
         del obj["nodes"]
-        _echo_json(obj)
-    else:
-        click.echo("\n".join(_report_lines(report, with_entries=False)))
+        _echo_report(obj, as_json)
+        return
+    rank0 = _rank0_statuses(doc, file)
+    if rank0 is None:
+        click.echo("error: bounds are undefined on a disconnected graph", err=True)
+        sys.exit(EXIT_FAILURE)
+    result, statuses = rank0
+    _echo_report(
+        {
+            "rank": 0,
+            "p": result.p,
+            "q": result.q,
+            "lower": result.lower,
+            "upper": result.upper,
+            "achieved_lower": [n for n in doc.nodes if statuses[n] == result.lower],
+            "achieved_upper": [n for n in doc.nodes if statuses[n] == result.upper],
+        },
+        as_json,
+    )
 
 
 @main.command("ejs-check")
 @click.argument("file")
 def ejs_check(file: str) -> None:
     """Verify the status bounds for every node of a rank-0 document."""
-    graph = _load_finite(file)
+    graph = _load(file, parse_finite_document)
     rank0 = _rank0_statuses(graph, file)
     if rank0 is None:
         click.echo("violation: graph is not connected")
@@ -314,24 +266,14 @@ def _witness_line(label: str, witness: Witness) -> str:
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def extremal(p: int, q: int, as_json: bool) -> None:
     """Search for nodes achieving the lower and upper status bound."""
-    try:
-        lower_witness, upper_witness = extremal_search(p, q)
-    except GraphError as exc:
-        _input_error(str(exc))
+    lower, upper = extremal_search(p, q)
     if as_json:
-        _echo_json(
-            {
-                "p": p,
-                "q": q,
-                "lower": _witness_obj(lower_witness),
-                "upper": _witness_obj(upper_witness),
-            }
-        )
+        _echo_json({"p": p, "q": q, "lower": _witness_obj(lower), "upper": _witness_obj(upper)})
     else:
         click.echo(f"p: {p}")
         click.echo(f"q: {q}")
-        click.echo(_witness_line("lower", lower_witness))
-        click.echo(_witness_line("upper", upper_witness))
+        click.echo(_witness_line("lower", lower))
+        click.echo(_witness_line("upper", upper))
 
 
 if __name__ == "__main__":

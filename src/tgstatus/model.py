@@ -162,12 +162,6 @@ class TransfiniteGraph:
     def has_section(self, section_id: str) -> bool:
         return section_id in self._section_index
 
-    def section(self, section_id: str) -> Section:
-        try:
-            return self._section_index[section_id]
-        except KeyError:
-            raise KeyError(f"unknown section {section_id!r}") from None
-
     def has_mu_node(self, mu_id: str) -> bool:
         return mu_id in self._mu_index
 
@@ -217,10 +211,10 @@ _FINITE_KEYS = {"rank", "nodes", "edges"}
 def _json_object(text: str) -> dict[str, Any]:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raise DocumentError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
     return obj

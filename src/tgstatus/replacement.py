@@ -126,18 +126,10 @@ def _resolve_elements(
 def path_mu_length(graph: TransfiniteGraph, path: AbstractPath) -> Ordinal:
     """The transfinite length w^mu * n of a path.
 
-    n counts incidences with mu-nodes: one for a terminal mu-node entry,
-    two for an interior one.  A single-element path has length 0.
+    n counts incidences with mu-nodes.  Sections and mu-nodes alternate,
+    so each consecutive pair is one incidence and n = len(elements) - 1.
     """
-    resolved = _resolve_elements(graph, path)
-    if len(resolved) == 1:
-        return omega_term(graph.rank, 0)
-    last = len(resolved) - 1
-    incidences = 0
-    for position, (kind, _) in enumerate(resolved):
-        if kind == "mu":
-            incidences += 1 if position in (0, last) else 2
-    return omega_term(graph.rank, incidences)
+    return omega_term(graph.rank, len(_resolve_elements(graph, path)) - 1)
 
 
 def translate_path(result: ReplacementResult, path: AbstractPath) -> list[str]:

@@ -243,6 +243,18 @@ class TestBounds:
             "achieved_lower: (none)", "achieved_upper: y1 y3",
         ]
 
+    @pytest.mark.parametrize("name", ["g1_with_singletons", "g3"])
+    def test_transfinite_goldens(self, name):
+        result = run("bounds", sample(name))
+        assert result.exit_code == 0
+        assert result.output == golden(f"{name}_bounds.txt")
+
+    @pytest.mark.parametrize("name", ["g1_with_singletons", "g3"])
+    def test_transfinite_json_goldens(self, name):
+        result = run("bounds", "--json", sample(name))
+        assert result.exit_code == 0
+        assert result.output == golden(f"{name}_bounds.json")
+
     def test_rank0_golden(self):
         result = run("bounds", sample("path4"))
         assert result.output == golden("path4_bounds.txt")
@@ -345,6 +357,30 @@ def test_deeply_nested_json_exit_2(tmp_path, command):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {doc}: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "status", "bounds", "ejs-check", "replace"])
+def test_undecodable_file_exit_2(tmp_path, command):
+    doc = tmp_path / "utf16.json"
+    doc.write_bytes(b"\xff\xfe{\x00}\x00")
+    result = run(command, doc)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: cannot read {doc}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["validate", "status", "bounds", "ejs-check", "replace"])
+def test_integer_too_long_exit_2(tmp_path, command):
+    doc = tmp_path / "long.json"
+    doc.write_text('{"rank": ' + "1" * 4301 + "}")
+    result = run(command, doc)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {doc}: invalid JSON: Exceeds the limit (4300")
+    assert result.stderr.count("\n") == 1
 
 
 # Goldens of the exhaustive kernels; each is the concatenated output of

@@ -146,6 +146,12 @@ class TestParsing:
         with pytest.raises(DocumentError, match=f"{key}' must be an array"):
             parse_document(json.dumps(obj))
 
+    @pytest.mark.parametrize("parse", [parse_document, parse_finite_document, load_document])
+    def test_integer_too_long_to_convert(self, parse):
+        text = '{"rank": ' + "1" * 4301 + ', "nodes": [], "edges": []}'
+        with pytest.raises(DocumentError, match=r"^invalid JSON: Exceeds the limit \(4300"):
+            parse(text)
+
     def test_pair_normalization(self):
         obj = json.loads(minimal())
         obj["nondisconnectable_pairs"] = [["t2", "t1"]]
