@@ -16,6 +16,7 @@ from .finite_graph import (
     BoundsResult,
     FiniteGraph,
     GraphError,
+    MAX_ENUMERATION_NODES,
     Witness,
     count_bound_violations,
     extremal_search,
@@ -229,11 +230,17 @@ def ejs_check(file: str) -> None:
 
 
 @main.command("verify-ejs")
-@click.option("--max-p", "max_p", type=int, required=True, help="Largest node count (<= 7).")
+@click.option(
+    "--max-p",
+    "max_p",
+    type=int,
+    required=True,
+    help=f"Largest node count (<= {MAX_ENUMERATION_NODES}).",
+)
 def verify_ejs(max_p: int) -> None:
     """Exhaustively verify the status bounds on all small connected graphs."""
-    if not 1 <= max_p <= 7:
-        _input_error(f"--max-p must be between 1 and 7, got {max_p}")
+    if not 1 <= max_p <= MAX_ENUMERATION_NODES:
+        _input_error(f"--max-p must be between 1 and {MAX_ENUMERATION_NODES}, got {max_p}")
     total_graphs = 0
     total_violations = 0
     for p in range(1, max_p + 1):

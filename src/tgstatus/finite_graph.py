@@ -20,6 +20,7 @@ __all__ = [
     "BoundsResult",
     "FiniteGraph",
     "GraphError",
+    "MAX_ENUMERATION_NODES",
     "Witness",
     "count_bound_violations",
     "enumerate_connected_graphs",
@@ -87,9 +88,6 @@ class FiniteGraph:
     @property
     def q(self) -> int:
         return len(self._edges)
-
-    def has_node(self, node: str) -> bool:
-        return node in self._adj
 
     def has_edge(self, u: str, v: str) -> bool:
         pair = (u, v) if u <= v else (v, u)

@@ -216,8 +216,9 @@ def mu_status_bounds(graph: TransfiniteGraph, result: ReplacementResult) -> MuBo
 def status_report(graph: TransfiniteGraph, walk_based: bool = False) -> StatusReport:
     """Validate, build the replacement, and report every status.
 
-    Entries list the nonsingleton mu-nodes in declaration order followed
-    by the section representatives in section order.  Raises
+    Entries follow the replacement's 0-node order without the included
+    singletons: the nonsingleton mu-nodes in declaration order, then the
+    section representatives in section order.  Raises
     ValidationFailed when validation does not pass.
     """
     report = validate(graph, walk_based)
@@ -225,17 +226,11 @@ def status_report(graph: TransfiniteGraph, walk_based: bool = False) -> StatusRe
         raise ValidationFailed(report)
     result = build_replacement(graph, walk_based=walk_based)
     bounds = mu_status_bounds(graph, result)
+    kinds = {"mu-node": KIND_MU_NODE, "section": KIND_SECTION_REPRESENTATIVE}
     entries = [
-        StatusEntry(m.id, KIND_MU_NODE, mu_status(graph, result, m.id))
-        for m in graph.nonsingleton_mu_nodes
-    ]
-    entries += [
-        StatusEntry(
-            section.representative,
-            KIND_SECTION_REPRESENTATIVE,
-            mu_status(graph, result, section.representative),
-        )
-        for section in graph.sections
+        StatusEntry(node, kinds[kind], mu_status(graph, result, node))
+        for node, (kind, _) in result.origin.items()
+        if kind != "singleton"
     ]
     return StatusReport(
         rank=graph.rank,
