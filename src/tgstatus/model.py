@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
+from typing import Any, Iterator
 
 from .finite_graph import FiniteGraph, GraphError
 
@@ -251,6 +251,29 @@ def _get_optional_list(obj: dict[str, Any], key: str, context: str) -> list[Any]
     return _get_list(obj, key, context) if key in obj else []
 
 
+def _is_id_pair(value: Any) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value)
+
+
+def _records(
+    entries: list[Any], keys: set[str], ids: set[str],
+    outer: str, inner: str, noun: str = "entries",
+) -> Iterator[tuple[dict[str, Any], str]]:
+    """Each record object of an array with its id, which is claimed in ``ids``.
+
+    Errors about the array name it ``outer``; errors about one record name it ``inner``.
+    """
+    for raw in entries:
+        if not isinstance(raw, dict):
+            raise DocumentError(f"{outer}: {noun} must be objects")
+        _check_keys(raw, keys, inner)
+        identifier = _get_str(raw, "id", inner)
+        if identifier in ids:
+            raise DocumentError(f"{outer}: duplicate identifier {identifier!r}")
+        ids.add(identifier)
+        yield raw, identifier
+
+
 def _document_rank(obj: dict[str, Any]) -> int:
     if "rank" not in obj:
         raise DocumentError("document: missing 'rank'")
@@ -309,11 +332,7 @@ def _finite_from_obj(obj: dict[str, Any]) -> FiniteGraph:
             raise DocumentError(f"document: node id {node!r} must be a non-empty string")
     edges = []
     for entry in _get_list(obj, "edges", "document"):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(end, str) for end in entry)
-        ):
+        if not _is_id_pair(entry):
             raise DocumentError(f"document: edge {entry!r} must be a pair of node ids")
         edges.append((entry[0], entry[1]))
     try:
@@ -325,34 +344,21 @@ def _finite_from_obj(obj: dict[str, Any]) -> FiniteGraph:
 def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
     _check_keys(obj, _TOP_KEYS, "document")
     rank = _document_rank(obj)
-
     ids: set[str] = set()
-
-    def claim(identifier: str, context: str) -> None:
-        if identifier in ids:
-            raise DocumentError(f"{context}: duplicate identifier {identifier!r}")
-        ids.add(identifier)
 
     raw_sections = _get_list(obj, "sections", "document")
     if not raw_sections:
         raise DocumentError("document: at least one section is required")
     sections: list[Section] = []
-    for raw in raw_sections:
-        if not isinstance(raw, dict):
-            raise DocumentError("sections: entries must be objects")
-        _check_keys(raw, _SECTION_KEYS, "section")
-        section_id = _get_str(raw, "id", "section")
-        claim(section_id, "sections")
-        internals: list[InternalNode] = []
-        raw_internals = _get_list(raw, "internal_nodes", f"section {section_id}")
+    for raw, section_id in _records(raw_sections, _SECTION_KEYS, ids, "sections", "section"):
+        context = f"section {section_id}"
+        raw_internals = _get_list(raw, "internal_nodes", context)
         if not raw_internals:
-            raise DocumentError(f"section {section_id}: needs at least one internal node")
-        for raw_internal in raw_internals:
-            if not isinstance(raw_internal, dict):
-                raise DocumentError(f"section {section_id}: internal nodes must be objects")
-            _check_keys(raw_internal, _INTERNAL_KEYS, f"section {section_id}")
-            internal_id = _get_str(raw_internal, "id", f"section {section_id}")
-            claim(internal_id, f"section {section_id}")
+            raise DocumentError(f"{context}: needs at least one internal node")
+        internals: list[InternalNode] = []
+        for raw_internal, internal_id in _records(
+            raw_internals, _INTERNAL_KEYS, ids, context, context, "internal nodes"
+        ):
             internal_rank = _get_int(raw_internal, "rank", f"internal node {internal_id}")
             if not 0 <= internal_rank < rank:
                 raise DocumentError(
@@ -365,32 +371,24 @@ def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
                     f"internal node {internal_id}: 'nonsingleton' must be a boolean"
                 )
             internals.append(InternalNode(internal_id, internal_rank, nonsingleton))
-        representative = _get_str(raw, "representative", f"section {section_id}")
+        representative = _get_str(raw, "representative", context)
         if representative not in {internal.id for internal in internals}:
             raise DocumentError(
-                f"section {section_id}: representative {representative!r} "
+                f"{context}: representative {representative!r} "
                 "does not name one of its internal nodes"
             )
         sections.append(Section(section_id, tuple(internals), representative))
     section_ids = {section.id for section in sections}
 
     mu_nodes: list[MuNode] = []
-    for raw in _get_list(obj, "mu_nodes", "document"):
-        if not isinstance(raw, dict):
-            raise DocumentError("mu_nodes: entries must be objects")
-        _check_keys(raw, _MU_NODE_KEYS, "mu-node")
-        mu_id = _get_str(raw, "id", "mu-node")
-        claim(mu_id, "mu_nodes")
-        raw_tips = _get_list(raw, "tips", f"mu-node {mu_id}")
+    raw_mu_nodes = _get_list(obj, "mu_nodes", "document")
+    for raw, mu_id in _records(raw_mu_nodes, _MU_NODE_KEYS, ids, "mu_nodes", "mu-node"):
+        context = f"mu-node {mu_id}"
+        raw_tips = _get_list(raw, "tips", context)
         if not raw_tips:
-            raise DocumentError(f"mu-node {mu_id}: needs at least one tip")
+            raise DocumentError(f"{context}: needs at least one tip")
         tips: list[Tip] = []
-        for raw_tip in raw_tips:
-            if not isinstance(raw_tip, dict):
-                raise DocumentError(f"mu-node {mu_id}: tips must be objects")
-            _check_keys(raw_tip, _TIP_KEYS, f"mu-node {mu_id}")
-            tip_id = _get_str(raw_tip, "id", f"mu-node {mu_id}")
-            claim(tip_id, f"mu-node {mu_id}")
+        for raw_tip, tip_id in _records(raw_tips, _TIP_KEYS, ids, context, context, "tips"):
             home = _get_str(raw_tip, "section", f"tip {tip_id}")
             if home not in section_ids:
                 raise DocumentError(f"tip {tip_id}: unknown section {home!r}")
@@ -402,11 +400,7 @@ def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
     pairs: list[tuple[str, str]] = []
     seen_pairs: set[tuple[str, str]] = set()
     for raw in _get_optional_list(obj, "nondisconnectable_pairs", "document"):
-        if (
-            not isinstance(raw, list)
-            or len(raw) != 2
-            or not all(isinstance(member, str) for member in raw)
-        ):
+        if not _is_id_pair(raw):
             raise DocumentError(
                 f"nondisconnectable_pairs: entry {raw!r} must be a pair of tip ids"
             )

@@ -42,7 +42,7 @@ class Ordinal:
         terms = tuple((exp, coeff) for exp, coeff in terms)
         prev_exp = None
         for exp, coeff in terms:
-            if not isinstance(exp, int) or not isinstance(coeff, int):
+            if type(exp) is not int or type(coeff) is not int:
                 raise ValueError(f"term ({exp!r}, {coeff!r}) is not a pair of integers")
             if exp < 0 or coeff < 1:
                 raise ValueError(
@@ -104,7 +104,7 @@ class Ordinal:
         The leading coefficient is multiplied by ``k`` and the lower
         terms are kept once; ``a.scale(0)`` is 0.
         """
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError(f"scale factor must be a natural number, got {k!r}")
         if k == 0 or not self._terms:
             return ZERO
@@ -123,9 +123,9 @@ ZERO = Ordinal()
 
 def omega_term(mu: int, n: int) -> Ordinal:
     """The ordinal w^mu * n; mu == 0 gives the finite ordinal n."""
-    if not isinstance(mu, int) or mu < 0:
+    if type(mu) is not int or mu < 0:
         raise ValueError(f"exponent must be a natural number, got {mu!r}")
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"coefficient must be a natural number, got {n!r}")
     if n == 0:
         return ZERO
@@ -148,15 +148,16 @@ def format_ordinal(a: Ordinal) -> str:
 
 _TERM_RE = re.compile(
     r"^(?:(?P<int>[1-9][0-9]*)"
-    r"|w(?:\^(?P<exp>[1-9][0-9]*))?(?:\*(?P<coeff>[1-9][0-9]*))?)$"
+    r"|w(?:\^(?P<exp>[2-9]|[1-9][0-9]+))?(?:\*(?P<coeff>[2-9]|[1-9][0-9]+))?)$"
 )
 
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the canonical text form; a left inverse of format_ordinal.
 
-    Rejects malformed terms, zero coefficients and terms that are not in
-    strictly decreasing exponent order.
+    Rejects malformed terms, zero coefficients, a written exponent or
+    coefficient of 1 on a w term, and terms that are not in strictly
+    decreasing exponent order.
     """
     if not isinstance(text, str):
         raise OrdinalParseError(f"expected text, got {type(text).__name__}")

@@ -89,46 +89,20 @@ class StatusReport:
         return obj
 
 
-def _zero_node(
-    graph: TransfiniteGraph, result: ReplacementResult, node_id: str
-) -> str | None:
-    """0-node at which a mu-node or internal node stands.
-
-    An internal node stands at its section's 0-node.  None for a
-    singleton mu-node that is not included in the replacement.
-    """
+def _zero_node(graph: TransfiniteGraph, result: ReplacementResult, node_id: str) -> str:
+    """0-node at which a mu-node or internal node stands; an internal node
+    stands at its section's 0-node."""
     home = graph.section_of_internal(node_id)
     if home is not None:
         return result.zero_node[home.id]
-    if graph.has_mu_node(node_id):
-        return result.zero_node.get(node_id)
-    raise StatusError(f"unknown node id {node_id!r}")
-
-
-def _resolve_target(
-    graph: TransfiniteGraph, result: ReplacementResult, node_id: str
-) -> str:
-    """0-node standing for node_id when used as a distance endpoint."""
-    node = _zero_node(graph, result, node_id)
-    if node is None:
+    if not graph.has_mu_node(node_id):
+        raise StatusError(f"unknown node id {node_id!r}")
+    if node_id not in result.zero_node:
         raise StatusError(
             f"no path-based distance exists for singleton mu-node {node_id!r}; "
             "it is not included in the replacement"
         )
-    return node
-
-
-def _resolve_source(
-    graph: TransfiniteGraph, result: ReplacementResult, node_id: str
-) -> str:
-    """0-node for a status source: a nonsingleton mu-node or internal node."""
-    node = _zero_node(graph, result, node_id)
-    if node is None or result.origin[node][0] == "singleton":
-        raise StatusError(
-            f"status is defined only for nonsingleton nodes; {node_id!r} is a "
-            "singleton mu-node"
-        )
-    return node
+    return result.zero_node[node_id]
 
 
 def mu_distance(
@@ -139,8 +113,8 @@ def mu_distance(
     0 for nodes of one section (or a = b); otherwise w^mu times the hop
     distance between the corresponding 0-nodes.
     """
-    node_a = _resolve_target(graph, result, a)
-    node_b = _resolve_target(graph, result, b)
+    node_a = _zero_node(graph, result, a)
+    node_b = _zero_node(graph, result, b)
     hops = result.graph.hop_distance(node_a, node_b)
     if hops is None:
         raise StatusError(
@@ -157,8 +131,8 @@ def geodesic(
     Ties among shortest paths break toward the lexicographically
     smallest 0-node sequence.  Undefined for endpoints at distance 0.
     """
-    node_a = _resolve_target(graph, result, a)
-    node_b = _resolve_target(graph, result, b)
+    node_a = _zero_node(graph, result, a)
+    node_b = _zero_node(graph, result, b)
     if node_a == node_b:
         raise StatusError(
             f"{a!r} and {b!r} are at distance 0 (same node or same section); "
@@ -186,7 +160,11 @@ def mu_status(graph: TransfiniteGraph, result: ReplacementResult, x: str) -> Ord
     """The status of x: the ordinal sum of its distances to every
     nonsingleton mu-node, every section representative, and every
     included singleton (the self term contributes 0)."""
-    source = _resolve_source(graph, result, x)
+    if graph.has_mu_node(x) and not graph.mu_node(x).is_nonsingleton:
+        raise StatusError(
+            f"status is defined only for nonsingleton nodes; {x!r} is a singleton mu-node"
+        )
+    source = _zero_node(graph, result, x)
     dist = result.graph.bfs_distances(source)
     total = Ordinal()
     for target in result.graph.nodes:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from tgstatus.cli import main
 
@@ -381,6 +382,78 @@ def test_integer_too_long_exit_2(tmp_path, command):
     assert result.stdout == ""
     assert result.stderr.startswith(f"error: {doc}: invalid JSON: Exceeds the limit (4300")
     assert result.stderr.count("\n") == 1
+
+
+FUZZ_SAMPLES = ["g1", "g1_with_singletons", "g3", "g3_nondisconnectable_violation", "path4"]
+FUZZ_COMMANDS = [
+    ("validate",), ("validate", "--walk-based"),
+    ("replace",), ("replace", "--json"), ("replace", "--dot"),
+    ("status",), ("status", "--json"), ("status", "--walk-based"),
+    ("bounds",), ("bounds", "--json"), ("ejs-check",),
+]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_items(value, path=()):
+    """(path, value) for every value inside a JSON value, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from json_items(child, path + (key,))
+
+
+def json_strings(value):
+    return sorted({v for _, v in json_items(value) if isinstance(v, str)})
+
+
+@st.composite
+def mutated_documents(draw):
+    """A sample document with one value replaced, deleted or duplicated at
+    a random path, or now and then an arbitrary JSON value."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(json_values)
+    doc = json.loads(sample(draw(st.sampled_from(FUZZ_SAMPLES))).read_text())
+    *parents, key = draw(st.sampled_from([path for path, _ in json_items(doc)][1:]))
+    container = doc
+    for step in parents:
+        container = container[step]
+    operation = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    if operation == "delete":
+        del container[key]
+    elif operation == "duplicate" and isinstance(container, list):
+        container.insert(key, container[key])
+    elif operation == "duplicate":
+        container[draw(st.sampled_from(sorted(container)))] = container[key]
+    else:
+        container[key] = draw(json_values | st.sampled_from(json_strings(doc)))
+    return doc
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(doc=mutated_documents(), data=st.data())
+def test_fuzzed_documents_exit_cleanly(tmp_path_factory, doc, data):
+    """Every command exits 0, 1 or 2 without an escaped exception, and
+    exit 2 prints exactly one `error: ` line."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    node = data.draw(st.sampled_from(json_strings(doc) or ["X1"]))
+    for command in [*FUZZ_COMMANDS, ("status", f"--node={node}")]:
+        result = run(*command, path)
+        assert result.exit_code in (0, 1, 2), command
+        assert result.exception is None or isinstance(result.exception, SystemExit), command
+        if result.exit_code == 2:
+            assert result.stderr.startswith("error: "), command
+            assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n"), command
 
 
 # Goldens of the exhaustive kernels; each is the concatenated output of

@@ -47,6 +47,9 @@ def minimal(**overrides):
     return json.dumps(doc)
 
 
+RANK0 = '{"rank": 0, "nodes": ["a", "b"], "edges": [["a", "b"]]}'
+
+
 class TestParsing:
     def test_g1_shape(self):
         g = parse_document(sample("g1"))
@@ -157,6 +160,43 @@ class TestParsing:
         obj["nondisconnectable_pairs"] = [["t2", "t1"]]
         g = parse_document(json.dumps(obj))
         assert g.nondisconnectable_pairs == (("t1", "t2"),)
+
+    # One field of minimal() (or of RANK0) set to a new value, and the
+    # exact message it must raise.
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("sections", 0, "id"), "", "section: 'id' must be a non-empty string"),
+            (("sections", 0, "internal_nodes", 0, "rank"), "0",
+             "internal node y1: 'rank' must be an integer"),
+            (("rank",), -1, "document: rank must be >= 0, got -1"),
+            (("sections",), [], "document: at least one section is required"),
+            (("sections", 0), 5, "sections: entries must be objects"),
+            (("sections", 0, "internal_nodes"), [],
+             "section S1: needs at least one internal node"),
+            (("sections", 0, "internal_nodes", 0), 5,
+             "section S1: internal nodes must be objects"),
+            (("sections", 0, "internal_nodes", 0, "nonsingleton"), 1,
+             "internal node y1: 'nonsingleton' must be a boolean"),
+            (("mu_nodes", 0), 5, "mu_nodes: entries must be objects"),
+            (("mu_nodes", 0, "tips"), [], "mu-node X1: needs at least one tip"),
+            (("mu_nodes", 0, "tips", 0), 5, "mu-node X1: tips must be objects"),
+            (("include_singletons",), [5], "include_singletons: entry 5 must be a mu-node id"),
+            (("rank0", "nodes", 0), 5, "document: node id 5 must be a non-empty string"),
+        ],
+    )
+    def test_exact_messages(self, path, value, message):
+        if path[0] == "rank0":
+            obj, path = json.loads(RANK0), path[1:]
+        else:
+            obj = json.loads(minimal())
+        container = obj
+        for key in path[:-1]:
+            container = container[key]
+        container[path[-1]] = value
+        with pytest.raises(DocumentError) as exc:
+            load_document(json.dumps(obj))
+        assert str(exc.value) == message
 
 
 class TestFiniteDocuments:

@@ -41,6 +41,9 @@ class TestConstruction:
             Ordinal(((2, 0),))
         with pytest.raises(ValueError):
             Ordinal(((-1, 1),))
+        for terms in ([(1, True)], [(True, 1)], [(2, 1.0)]):
+            with pytest.raises(ValueError, match="is not a pair of integers"):
+                Ordinal(terms)
 
     def test_omega_term(self):
         assert omega_term(0, 3).terms == ((0, 3),)
@@ -50,6 +53,10 @@ class TestConstruction:
             omega_term(-1, 1)
         with pytest.raises(ValueError):
             omega_term(1, -1)
+        with pytest.raises(ValueError, match="exponent must be a natural number"):
+            omega_term(True, 2)
+        with pytest.raises(ValueError, match="coefficient must be a natural number"):
+            omega_term(2, True)
 
 
 class TestFormat:
@@ -72,7 +79,7 @@ class TestFormat:
     @pytest.mark.parametrize(
         "text",
         ["", " ", "w^0", "w*0", "0 + 1", "1 + w", "w + w", "w^2 + w^2", "-1", "w^-1",
-         "01", "w^01", "2w", "w ^ 2", "1+w"],
+         "01", "w^01", "2w", "w ^ 2", "1+w", "w^1", "w*1", "w^1*1", "w^2*1"],
     )
     def test_parse_rejects(self, text):
         with pytest.raises(OrdinalParseError):
@@ -126,6 +133,9 @@ class TestArithmetic:
         assert omega_term(1, 1).scale(0) is ZERO
         with pytest.raises(ValueError):
             omega_term(1, 1).scale(-1)
+        for k in (True, False):
+            with pytest.raises(ValueError, match="scale factor must be a natural number"):
+                omega_term(1, 1).scale(k)
 
     @given(ordinals(), st.integers(min_value=0, max_value=20),
            st.integers(min_value=0, max_value=20))
