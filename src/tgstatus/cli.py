@@ -96,7 +96,7 @@ def _echo_report(obj: dict[str, Any], as_json: bool) -> None:
 
 
 class _Shell(click.Group):
-    """Maps the library's errors to exit codes for every command."""
+    """Maps the library's errors and usage errors to exit codes for every command."""
 
     def invoke(self, ctx: click.Context) -> Any:
         try:
@@ -108,6 +108,8 @@ class _Shell(click.Group):
             sys.exit(EXIT_FAILURE)
         except (StatusError, GraphError) as exc:
             _input_error(str(exc))
+        except click.UsageError as exc:
+            _input_error(exc.format_message())
 
 
 @click.group(cls=_Shell)

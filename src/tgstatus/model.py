@@ -15,6 +15,7 @@ arrays instead of sections and mu-nodes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterator
@@ -133,31 +134,32 @@ class TransfiniteGraph:
         return tuple(m for m in self.mu_nodes if m.is_nonsingleton)
 
     @cached_property
-    def incidence(self) -> dict[str, tuple[str, ...]]:
-        """Adjacency of the replacement structure, keyed by element id.
+    def _zero_graph(self) -> tuple[FiniteGraph, dict[str, str], dict[str, tuple[str, str]]]:
+        """The replacement 0-graph with its ``zero_node`` and ``origin`` maps.
 
-        Keys are the nonsingleton mu-nodes, then the sections, then the
-        included singletons that name singleton mu-nodes, each group in
-        declaration order.  A mu-node's neighbours are its incident
-        sections; a section's are its nonsingleton mu-nodes, then its
-        included singletons; a singleton's is its home section.
-        Incidences with undeclared sections are left out.
+        Nodes are the nonsingleton mu-nodes, then the section
+        representatives, then the included singletons that name
+        singleton mu-nodes, each group in declaration order.  Branches
+        join each section, in section order, to its nonsingleton
+        mu-nodes in declaration order, then each included singleton to
+        its home section.  Incidences with undeclared sections are left
+        out.  Needs ids that pass validation's ``identifiers`` check.
         """
         singletons = [
-            mu_id
-            for mu_id in self.include_singletons
-            if mu_id in self._mu_index and not self._mu_index[mu_id].is_nonsingleton
+            m for m in map(self._mu_index.get, self.include_singletons) if m and not m.is_nonsingleton
         ]
-        adjacency: dict[str, list[str]] = {m.id: [] for m in self.nonsingleton_mu_nodes}
-        adjacency.update((section.id, []) for section in self.sections)
-        adjacency.update((mu_id, []) for mu_id in singletons)
-        links = [(m.id, home) for m in self.nonsingleton_mu_nodes for home in m.incident_sections]
-        links += [(mu_id, self._mu_index[mu_id].tips[0].section) for mu_id in singletons]
-        for element, home in links:
-            if home in self._section_index:
-                adjacency[element].append(home)
-                adjacency[home].append(element)
-        return {element: tuple(neighbours) for element, neighbours in adjacency.items()}
+        origin = {m.id: ("mu-node", m.id) for m in self.nonsingleton_mu_nodes}
+        origin.update((s.representative, ("section", s.id)) for s in self.sections)
+        origin.update((m.id, ("singleton", m.id)) for m in singletons)
+        zero_node = {element: node for node, (_, element) in origin.items()}
+        members: dict[str, list[str]] = {section.id: [] for section in self.sections}
+        for mu_node in self.nonsingleton_mu_nodes:
+            for home in mu_node.incident_sections:
+                if home in members:
+                    members[home].append(mu_node.id)
+        edges = [(zero_node[home], mu_id) for home, mu_ids in members.items() for mu_id in mu_ids]
+        edges += [(zero_node[h], m.id) for m in singletons for h in m.incident_sections if h in members]
+        return FiniteGraph(origin, edges), zero_node, origin
 
     def has_section(self, section_id: str) -> bool:
         return section_id in self._section_index
@@ -443,6 +445,9 @@ def validate(graph: TransfiniteGraph, walk_based: bool = False) -> ValidationRep
     Checked conditions and their tags:
 
     * ``rank``: the rank is a positive natural number.
+    * ``identifiers``: every id is used once, every representative is
+      an internal node of its section and every tip's section exists;
+      without this no 0-graph exists and ``connectivity`` is skipped.
     * ``representative``: every section designates a nonsingleton
       internal node of rank below the graph rank.
     * ``include-singletons``: every inclusion names a singleton mu-node.
@@ -468,6 +473,26 @@ def validate(graph: TransfiniteGraph, walk_based: bool = False) -> ValidationRep
                 (),
             )
         )
+
+    declared = [section.id for section in graph.sections] + [m.id for m in graph.mu_nodes]
+    declared += [n.id for section in graph.sections for n in section.internal_nodes]
+    declared += [tip.id for m in graph.mu_nodes for tip in m.tips]
+    counts = [Counter(declared), Counter(graph.include_singletons)]
+    problems = {
+        "used twice": [key for counter in counts for key, count in counter.items() if count > 1],
+        "representatives outside their section": [
+            section.representative
+            for section in graph.sections
+            if section.representative not in {n.id for n in section.internal_nodes}
+        ],
+        "tips in undeclared sections": [
+            tip.id for m in graph.mu_nodes for tip in m.tips if not graph.has_section(tip.section)
+        ],
+    }
+    unresolved = tuple(key for ids in problems.values() for key in ids)
+    if unresolved:
+        text = "; ".join(f"{label}: {', '.join(ids)}" for label, ids in problems.items() if ids)
+        violations.append(Violation("identifiers", text, unresolved))
 
     for section in graph.sections:
         internal = next(
@@ -523,16 +548,20 @@ def validate(graph: TransfiniteGraph, walk_based: bool = False) -> ValidationRep
                 )
             )
 
-    unreached = _unreached_replacement_nodes(graph)
-    if unreached:
-        violations.append(
-            Violation(
-                "connectivity",
-                "the replacement 0-graph is not connected; unreached: "
-                + ", ".join(unreached),
-                tuple(unreached),
+    if not unresolved:
+        zero_graph, _, origin = graph._zero_graph
+        order = sorted(zero_graph.nodes, key=lambda node: origin[node][0] != "section")
+        dist = zero_graph.bfs_distances(order[0]) if order else {}
+        unreached = [origin[node][1] for node in order if dist[node] is None]
+        if unreached:
+            violations.append(
+                Violation(
+                    "connectivity",
+                    "the replacement 0-graph is not connected; unreached: "
+                    + ", ".join(unreached),
+                    tuple(unreached),
+                )
             )
-        )
 
     notes = [INTRA_SECTION_NOTE]
     if walk_based:
@@ -540,22 +569,3 @@ def validate(graph: TransfiniteGraph, walk_based: bool = False) -> ValidationRep
     return ValidationReport(
         passed=not violations, violations=tuple(violations), notes=tuple(notes)
     )
-
-
-def _unreached_replacement_nodes(graph: TransfiniteGraph) -> tuple[str, ...]:
-    """Ids of replacement-graph constituents not reached from the first
-    section, sections first, then mu-nodes, then included singletons."""
-    adjacency = graph.incidence
-    elements = [section.id for section in graph.sections]
-    elements += [element for element in adjacency if not graph.has_section(element)]
-    if not elements:
-        return ()
-    reached = {elements[0]}
-    stack = [elements[0]]
-    while stack:
-        current = stack.pop()
-        for neighbor in adjacency[current]:
-            if neighbor not in reached:
-                reached.add(neighbor)
-                stack.append(neighbor)
-    return tuple(element for element in elements if element not in reached)

@@ -65,32 +65,19 @@ class ReplacementResult:
 def build_replacement(
     graph: TransfiniteGraph, *, walk_based: bool = False
 ) -> ReplacementResult:
-    """Construct the replacement 0-graph of a validated transfinite graph.
+    """The replacement 0-graph of a validated transfinite graph.
 
     0-nodes reuse source identifiers: a nonsingleton mu-node keeps its
     id, a section is represented by its representative's id, an included
     singleton keeps its id.  Nodes are ordered mu-nodes first, then
     sections, then singletons, each in declaration order.  Raises
     ValidationFailed when validation (in the given mode) does not pass.
+    The result shares the graph's cached 0-graph: its maps are read-only.
     """
     report = validate(graph, walk_based)
     if not report.passed:
         raise ValidationFailed(report)
-
-    origin = {m.id: ("mu-node", m.id) for m in graph.nonsingleton_mu_nodes}
-    origin.update((s.representative, ("section", s.id)) for s in graph.sections)
-    origin.update((mu_id, ("singleton", mu_id)) for mu_id in graph.include_singletons)
-    zero_node = {element: node for node, (_, element) in origin.items()}
-
-    adjacency = graph.incidence
-    edges = [
-        (zero_node[section.id], neighbor)
-        for section in graph.sections
-        for neighbor in adjacency[section.id]
-        if origin[neighbor][0] == "mu-node"
-    ]
-    edges += [(zero_node[adjacency[mu_id][0]], mu_id) for mu_id in graph.include_singletons]
-    return ReplacementResult(FiniteGraph(origin, edges), zero_node, origin)
+    return ReplacementResult(*graph._zero_graph)
 
 
 def _resolve_elements(
@@ -166,16 +153,16 @@ def iter_simple_paths(
     Both orientations of each path are produced.  Intended for
     desk-scale instances; the count grows quickly with density.
     """
-    adjacency = graph.incidence
+    zero_graph, _, origin = graph._zero_graph
 
     def extend(trail: list[str]) -> Iterator[AbstractPath]:
         if len(trail) >= 2 or include_trivial:
-            yield AbstractPath(tuple(trail))
-        for neighbor in adjacency[trail[-1]]:
+            yield AbstractPath(tuple(origin[node][1] for node in trail))
+        for neighbor in zero_graph.neighbors(trail[-1]):
             if neighbor not in trail:
                 trail.append(neighbor)
                 yield from extend(trail)
                 trail.pop()
 
-    for start in adjacency:
+    for start in zero_graph.nodes:
         yield from extend([start])

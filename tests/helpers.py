@@ -85,6 +85,28 @@ def oracle_replacement(doc):
     return nodes, sorted(tuple(sorted(e)) for e in edges)
 
 
+def oracle_simple_paths(doc):
+    """Every simple path over sections, nonsingleton mu-nodes and included
+    singletons, as a set of id tuples, single elements included."""
+    included = set(doc.get("include_singletons", []))
+    neighbours = {s["id"]: set() for s in doc["sections"]}
+    for m in doc["mu_nodes"]:
+        if len(m["tips"]) >= 2 or m["id"] in included:
+            neighbours[m["id"]] = {tip["section"] for tip in m["tips"]}
+            for section in neighbours[m["id"]]:
+                neighbours[section].add(m["id"])
+    paths = set()
+
+    def extend(path):
+        paths.add(path)
+        for nxt in neighbours[path[-1]] - set(path):
+            extend(path + (nxt,))
+
+    for start in neighbours:
+        extend((start,))
+    return paths
+
+
 def oracle_ordinal_text(mu, n):
     """Canonical text of w^mu * n, formatted without the package."""
     if n == 0:

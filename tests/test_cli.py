@@ -384,6 +384,32 @@ def test_integer_too_long_exit_2(tmp_path, command):
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("status", sample("g1"), "--bogus"), "No such option '--bogus'."),
+        (("extremal", "--p", 4), "Missing option '--q'."),
+        (("verify-ejs", "--max-p", "x"), "Invalid value for '--max-p': 'x' is not a valid integer."),
+        (("bogus",), "No such command 'bogus'. Did you mean 'bounds'?"),
+    ],
+)
+def test_usage_error_one_line_exit_2(args, message):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def assert_exits_cleanly(result, command):
+    """Exit 0, 1 or 2 without an escaped exception; exit 2 prints exactly
+    one `error: ` line."""
+    assert result.exit_code in (0, 1, 2), command
+    assert result.exception is None or isinstance(result.exception, SystemExit), command
+    if result.exit_code == 2:
+        assert result.stderr.startswith("error: "), command
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n"), command
+
+
 FUZZ_SAMPLES = ["g1", "g1_with_singletons", "g3", "g3_nondisconnectable_violation", "path4"]
 FUZZ_COMMANDS = [
     ("validate",), ("validate", "--walk-based"),
@@ -449,11 +475,41 @@ def test_fuzzed_documents_exit_cleanly(tmp_path_factory, doc, data):
     node = data.draw(st.sampled_from(json_strings(doc) or ["X1"]))
     for command in [*FUZZ_COMMANDS, ("status", f"--node={node}")]:
         result = run(*command, path)
-        assert result.exit_code in (0, 1, 2), command
-        assert result.exception is None or isinstance(result.exception, SystemExit), command
-        if result.exit_code == 2:
-            assert result.stderr.startswith("error: "), command
-            assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n"), command
+        assert_exits_cleanly(result, command)
+
+
+def not_an_integer(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# Option values: absent, small, huge or negative, or not an integer.  Small
+# values stop at 6, which keeps every run that does succeed cheap.
+option_values = (
+    st.none()
+    | st.integers(-2, 6)
+    | st.integers(min_value=10 ** 6)
+    | st.integers(max_value=-(10 ** 6))
+    | st.text(max_size=6).filter(not_an_integer)
+)
+
+
+def with_option(name, value):
+    return () if value is None else (name, value)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(max_p=option_values, p=option_values, q=option_values, as_json=st.booleans())
+def test_fuzzed_kernel_options_exit_cleanly(max_p, p, q, as_json):
+    """verify-ejs and extremal exit 0, 1 or 2 without an escaped exception
+    on any option value, and exit 2 prints exactly one `error: ` line."""
+    extremal = ("extremal", *with_option("--p", p), *with_option("--q", q))
+    for command in [("verify-ejs", *with_option("--max-p", max_p)), extremal + ("--json",) * as_json]:
+        result = run(*command)
+        assert_exits_cleanly(result, command)
 
 
 # Goldens of the exhaustive kernels; each is the concatenated output of

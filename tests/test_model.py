@@ -10,12 +10,14 @@ from tgstatus.finite_graph import FiniteGraph
 from tgstatus.model import (
     DocumentError,
     TransfiniteGraph,
+    ValidationFailed,
     load_document,
     parse_document,
     parse_finite_document,
     rank0_document,
     validate,
 )
+from tgstatus.replacement import build_replacement
 
 from helpers import document_text, random_document
 
@@ -294,6 +296,51 @@ class TestValidation:
         report = validate(bad)
         assert "include-singletons" in [v.condition for v in report.violations]
 
+    @pytest.mark.parametrize(
+        "sections, tips, include, message",
+        [
+            ([("S1", "y", "y"), ("S2", "y", "y")], [("t1", "S1"), ("t2", "S2")], (),
+             "used twice: y"),
+            ([("S1", "X", "X")], [("t1", "S1"), ("t2", "S1")], (), "used twice: X"),
+            ([("S1", "y1", "y1"), ("S2", "y2", "y2")], [("t1", "S1"), ("t2", "S2"), ("t9", "S9")],
+             (), "tips in undeclared sections: t9"),
+            ([("S1", "y1", "y2"), ("S2", "y2", "y2")], [("t1", "S1"), ("t2", "S2")], (),
+             "representatives outside their section: y2"),
+            ([("S1", "y1", "y1"), ("S2", "y2", "y2")], [("t1", "S1"), ("t2", "S2")],
+             ("W", "W"), "used twice: W"),
+        ],
+        ids=[
+            "shared-representative",
+            "representative-named-like-mu-node",
+            "tip-in-undeclared-section",
+            "representative-outside-its-section",
+            "singleton-included-twice",
+        ],
+    )
+    def test_identifiers_graphs_built_in_code_fail(self, sections, tips, include, message):
+        """Graphs built in code skip the parser's id checks; validation
+        must catch them before the 0-graph is built."""
+        from tgstatus.model import InternalNode, MuNode, Section, Tip
+
+        graph = TransfiniteGraph(
+            rank=1,
+            sections=tuple(
+                Section(sid, (InternalNode(internal, 0, True),), representative)
+                for sid, internal, representative in sections
+            ),
+            mu_nodes=(
+                MuNode("X", tuple(Tip(tid, home) for tid, home in tips)),
+                MuNode("W", (Tip("t3", "S1"),)),
+            ),
+            include_singletons=include,
+        )
+        report = validate(graph)
+        identifiers = [v for v in report.violations if v.condition == "identifiers"]
+        assert [v.message for v in identifiers] == [message]
+        assert "connectivity" not in [v.condition for v in report.violations]
+        with pytest.raises(ValidationFailed):
+            build_replacement(graph)
+
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=60)
     def test_generated_documents_validate(self, seed):
@@ -305,14 +352,21 @@ class TestValidation:
 
 
 class TestIncidence:
+    """Each 0-node of the replacement graph: its origin and its neighbours."""
+
+    @staticmethod
+    def zero_nodes(g):
+        result = build_replacement(g)
+        return [(n, result.origin[n], result.graph.neighbors(n)) for n in result.graph.nodes]
+
     def test_g1_with_singletons(self):
         g = parse_document(sample("g1_with_singletons"))
-        assert list(g.incidence.items()) == [
-            ("X1", ("S1", "S2")),
-            ("X2", ("S1", "S2")),
-            ("S1", ("X1", "X2", "W1")),
-            ("S2", ("X1", "X2")),
-            ("W1", ("S1",)),
+        assert self.zero_nodes(g) == [
+            ("X1", ("mu-node", "X1"), ("y1", "y2")),
+            ("X2", ("mu-node", "X2"), ("y1", "y2")),
+            ("y1", ("section", "S1"), ("X1", "X2", "W1")),
+            ("y2", ("section", "S2"), ("X1", "X2")),
+            ("W1", ("singleton", "W1"), ("y1",)),
         ]
 
     def test_collapsed_tips_and_excluded_singletons(self):
@@ -320,9 +374,9 @@ class TestIncidence:
         doc["include_singletons"] = []
         doc["mu_nodes"][1]["tips"].append({"id": "t6", "section": "S1"})
         g = parse_document(json.dumps(doc))
-        assert list(g.incidence.items()) == [
-            ("X1", ("S1", "S2")),
-            ("X2", ("S1", "S2")),
-            ("S1", ("X1", "X2")),
-            ("S2", ("X1", "X2")),
+        assert self.zero_nodes(g) == [
+            ("X1", ("mu-node", "X1"), ("y1", "y2")),
+            ("X2", ("mu-node", "X2"), ("y1", "y2")),
+            ("y1", ("section", "S1"), ("X1", "X2")),
+            ("y2", ("section", "S2"), ("X1", "X2")),
         ]

@@ -17,7 +17,7 @@ from tgstatus.replacement import (
     translate_path,
 )
 
-from helpers import document_text, oracle_replacement, random_document
+from helpers import document_text, oracle_replacement, oracle_simple_paths, random_document
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
 
@@ -211,6 +211,18 @@ class TestLengthRelation:
         g2 = load("g2")
         result2 = build_replacement(g2)
         assert length_relation_holds(g2, result2, AbstractPath(("S1", "X1")))
+
+    def test_simple_paths_match_oracle(self):
+        docs = [
+            json.loads((SAMPLES / f"{name}.json").read_text())
+            for name in ("g1", "g2", "g3", "g1_with_singletons", "g3_nondisconnectable_violation")
+        ]
+        docs += [random_document(random.Random(seed), max_k=5, max_m=5) for seed in range(120)]
+        for doc in docs:
+            g = parse_document(document_text(doc))
+            paths = [path.elements for path in iter_simple_paths(g, include_trivial=True)]
+            assert len(paths) == len(set(paths))
+            assert set(paths) == oracle_simple_paths(doc)
 
     def test_trivial_paths_when_requested(self):
         g = load("g2")
