@@ -98,6 +98,14 @@ def _echo_report(obj: dict[str, Any], as_json: bool) -> None:
 class _Shell(click.Group):
     """Maps the library's errors and usage errors to exit codes for every command."""
 
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        if not args:  # bare `tgstatus` keeps click's help
+            return super().parse_args(ctx, args)
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            _input_error(exc.format_message())
+
     def invoke(self, ctx: click.Context) -> Any:
         try:
             return super().invoke(ctx)

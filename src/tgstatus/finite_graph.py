@@ -250,10 +250,10 @@ def _check_enumeration_size(p: object, what: str) -> None:
 
 # Small graphs live in the bitmask domain.  Node i is bit i, and a graph
 # on p <= 7 nodes is an adjacency word whose byte i is the bitmask of i's
-# neighbours; word.to_bytes(p, "little") indexes it by node.  A graph's
-# word is the OR of the words of its edges, taken from _pair_words in the
-# lexicographic order of the pairs (i, j), i < j, so bit k of an edge mask
-# selects the k-th pair.  _MEMBERS lists the nodes of every node bitmask.
+# neighbours; word.to_bytes(p, "little") indexes it by node.  Each pair
+# (i, j), i < j, has its own word from _pair_words, in lexicographic
+# order, and a graph's word is the OR of the words of its edges.
+# _MEMBERS lists the nodes of every node bitmask.
 
 _MEMBERS = [
     tuple(v for v in range(MAX_ENUMERATION_NODES) if mask >> v & 1)
@@ -263,30 +263,6 @@ _MEMBERS = [
 
 def _pair_words(p: int) -> list[int]:
     return [1 << (8 * i + j) | 1 << (8 * j + i) for i in range(p) for j in range(i + 1, p)]
-
-
-def _subset_words(words: list[int]) -> list[int]:
-    """Adjacency words of every subset of words, indexed by subset mask."""
-    table = [0]
-    for word in words:
-        table += [other | word for other in table]
-    return table
-
-
-def _edge_masks(p: int) -> Iterator[tuple[int, bytes]]:
-    """(edge mask, adjacency) of every graph on p labeled nodes.
-
-    Masks come in increasing order.  Each is split into a low and a high
-    half whose words are tabulated once, so a graph's word is one OR.
-    """
-    words = _pair_words(p)
-    split = len(words) // 2
-    low = _subset_words(words[:split])
-    mask = 0
-    for high in _subset_words(words[split:]):
-        for word in low:
-            yield mask, (high | word).to_bytes(p, "little")
-            mask += 1
 
 
 def _edges(names: tuple[str, ...], adj: bytes) -> list[tuple[str, str]]:
@@ -327,24 +303,31 @@ def _statuses(adj: Sequence[int]) -> list[int] | None:
     return statuses
 
 
-def _connected_statuses(p: int) -> Iterator[tuple[int, bytes, list[int]]]:
-    """(edge mask, adjacency, statuses) of every labeled connected graph
-    on p nodes, in increasing mask order."""
-    for mask, adj in _edge_masks(p):
-        statuses = _statuses(adj)
-        if statuses is not None:
-            yield mask, adj, statuses
+def _connected_statuses(
+    p: int, edge_counts: Iterable[int]
+) -> Iterator[tuple[int, bytes, list[int]]]:
+    """(q, adjacency, statuses) of every labeled connected graph on p
+    nodes with q edges, for each q of edge_counts in turn; within one q,
+    in lexicographic order of the edge combinations."""
+    words = _pair_words(p)
+    for q in edge_counts:
+        for word in map(sum, combinations(words, q)):  # pair words share no bits
+            adj = word.to_bytes(p, "little")
+            statuses = _statuses(adj)
+            if statuses is not None:
+                yield q, adj, statuses
 
 
 def enumerate_connected_graphs(p: int) -> Iterator[FiniteGraph]:
     """Yield every labeled connected simple graph on p nodes exactly once.
 
-    Iterates all 2^(p(p-1)/2) edge masks in increasing order, with a
-    bitmask connectivity filter; supported for 1 <= p <= 7.
+    Graphs come by edge count, then in lexicographic order of their edge
+    combinations; supported for 1 <= p <= 7.
     """
     _check_enumeration_size(p, "enumeration")
     names = _node_names(p)
-    for _, adj, _ in _connected_statuses(p):
+    # Fewer than p - 1 edges cannot connect p nodes.
+    for _, adj, _ in _connected_statuses(p, range(p - 1, p * (p - 1) // 2 + 1)):
         yield FiniteGraph(names, _edges(names, adj))
 
 
@@ -357,9 +340,9 @@ def count_bound_violations(p: int) -> tuple[int, int]:
     _check_enumeration_size(p, "enumeration")
     lower = p - 1
     graphs = violations = 0
-    for mask, _, statuses in _connected_statuses(p):
+    for q, _, statuses in _connected_statuses(p, range(p - 1, p * (p - 1) // 2 + 1)):
         graphs += 1
-        upper = status_bounds_values(p, mask.bit_count())[1]
+        upper = status_bounds_values(p, q)[1]
         if min(statuses) < lower or max(statuses) > upper:
             violations += sum(not lower <= s <= upper for s in statuses)
     return graphs, violations
@@ -384,11 +367,7 @@ def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
     lower, upper = status_bounds_values(p, q)
     lower_witness: Witness | None = None
     upper_witness: Witness | None = None
-    for combo in combinations(_pair_words(p), q):
-        adj = sum(combo).to_bytes(p, "little")  # pair words share no bits
-        statuses = _statuses(adj)
-        if statuses is None:
-            continue
+    for _, adj, statuses in _connected_statuses(p, (q,)):
         found_lower = lower_witness is None and lower in statuses
         found_upper = upper_witness is None and upper in statuses
         if found_lower or found_upper:

@@ -151,18 +151,21 @@ def iter_simple_paths(
     and included singletons, in deterministic order.
 
     Both orientations of each path are produced.  Intended for
-    desk-scale instances; the count grows quickly with density.
+    desk-scale instances; the count grows quickly with density.  Simple
+    paths ignore nondisconnectable tips, so the graph is validated in
+    walk mode; one that fails, a disconnected one included, raises
+    ValidationFailed.
     """
-    zero_graph, _, origin = graph._zero_graph
+    result = build_replacement(graph, walk_based=True)
 
     def extend(trail: list[str]) -> Iterator[AbstractPath]:
         if len(trail) >= 2 or include_trivial:
-            yield AbstractPath(tuple(origin[node][1] for node in trail))
-        for neighbor in zero_graph.neighbors(trail[-1]):
+            yield AbstractPath(tuple(result.origin[node][1] for node in trail))
+        for neighbor in result.graph.neighbors(trail[-1]):
             if neighbor not in trail:
                 trail.append(neighbor)
                 yield from extend(trail)
                 trail.pop()
 
-    for start in zero_graph.nodes:
+    for start in result.graph.nodes:
         yield from extend([start])

@@ -391,6 +391,8 @@ def test_integer_too_long_exit_2(tmp_path, command):
         (("extremal", "--p", 4), "Missing option '--q'."),
         (("verify-ejs", "--max-p", "x"), "Invalid value for '--max-p': 'x' is not a valid integer."),
         (("bogus",), "No such command 'bogus'. Did you mean 'bounds'?"),
+        (("--bogus",), "No such option '--bogus'."),
+        (("--bogus", "status", sample("g1")), "No such option '--bogus'."),
     ],
 )
 def test_usage_error_one_line_exit_2(args, message):
@@ -398,6 +400,14 @@ def test_usage_error_one_line_exit_2(args, message):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {message}\n"
+
+
+def test_bare_command_and_help_print_the_help():
+    bare, help_ = run(), run("--help")
+    assert bare.exit_code == 2
+    assert bare.stderr.startswith("Usage: ") and "Commands:" in bare.stderr
+    assert help_.exit_code == 0
+    assert help_.stdout.startswith("Usage: ") and "Commands:" in help_.stdout
 
 
 def assert_exits_cleanly(result, command):

@@ -9,7 +9,7 @@ from tgstatus.finite_graph import (
     FiniteGraph,
     GraphError,
     MAX_ENUMERATION_NODES,
-    _edge_masks,
+    _connected_statuses,
     _statuses,
     count_bound_violations,
     enumerate_connected_graphs,
@@ -110,6 +110,11 @@ class TestDistancesAndStatus:
             g.status("a")
         with pytest.raises(GraphError):
             g.status_bounds()
+
+    def test_bounds_need_a_node(self):
+        with pytest.raises(GraphError) as excinfo:
+            FiniteGraph([]).status_bounds()
+        assert str(excinfo.value) == "bounds need at least one node"
 
     def test_unknown_source(self):
         with pytest.raises(GraphError):
@@ -237,10 +242,16 @@ class TestBitmaskKernel:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_edge_masks_in_order_with_their_adjacency(self, p):
-        seen = list(_edge_masks(p))
-        assert [mask for mask, _ in seen] == list(range(1 << (p * (p - 1) // 2)))
-        for mask, adj in seen:
-            assert list(adj) == graph_of_mask(p, mask)[2]
+        pairs = p * (p - 1) // 2
+        for q in range(pairs + 1):
+            expected = []
+            for combo in combinations(range(pairs), q):
+                nodes, edges, adj = graph_of_mask(p, sum(1 << k for k in combo))
+                statuses = [oracle_status(nodes, edges, v) for v in nodes]
+                if None not in statuses:
+                    expected.append((q, adj, statuses))
+            seen = [(q, list(adj), statuses) for q, adj, statuses in _connected_statuses(p, (q,))]
+            assert seen == expected, (p, q)
 
     @pytest.mark.parametrize(
         "p, count", [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)]

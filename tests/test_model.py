@@ -17,7 +17,7 @@ from tgstatus.model import (
     rank0_document,
     validate,
 )
-from tgstatus.replacement import build_replacement
+from tgstatus.replacement import build_replacement, iter_simple_paths
 
 from helpers import document_text, random_document
 
@@ -63,6 +63,11 @@ class TestParsing:
         assert g.mu_node("X1").incident_sections == ("S1", "S2")
         assert g.section_of_internal("z1").id == "S1"
         assert g.section_of_internal("nope") is None
+
+    def test_unknown_mu_node(self):
+        with pytest.raises(KeyError) as excinfo:
+            parse_document(sample("g1")).mu_node("nope")
+        assert excinfo.value.args == ("unknown mu-node 'nope'",)
 
     def test_tip_collapse(self):
         g = parse_document(sample("g2"))
@@ -253,6 +258,28 @@ class TestValidation:
         obj["nondisconnectable_pairs"] = [["t1", "t5"]]
         assert validate(parse_document(json.dumps(obj))).passed
 
+    @pytest.mark.parametrize(
+        "pair, violations",
+        [
+            (("t1", "t9"), [("nondisconnectable-tips", "pair references unknown tip 't9'")]),
+            (("t1", "t2"), []),
+        ],
+        ids=["unknown-tip", "tips-of-one-mu-node"],
+    )
+    def test_nondisconnectable_pairs_of_graphs_built_in_code(self, pair, violations):
+        from tgstatus.model import InternalNode, MuNode, Section, Tip
+
+        graph = TransfiniteGraph(
+            rank=1,
+            sections=tuple(
+                Section(sid, (InternalNode(y, 0, True),), y)
+                for sid, y in (("S1", "y1"), ("S2", "y2"))
+            ),
+            mu_nodes=(MuNode("X", (Tip("t1", "S1"), Tip("t2", "S2"))),),
+            nondisconnectable_pairs=(pair,),
+        )
+        assert [(v.condition, v.message) for v in validate(graph).violations] == violations
+
     def test_disconnected_replacement_fails(self):
         obj = json.loads(minimal())
         obj["sections"].append(
@@ -265,6 +292,8 @@ class TestValidation:
         report = validate(parse_document(json.dumps(obj)))
         assert [v.condition for v in report.violations] == ["connectivity"]
         assert "S2" in report.violations[0].ids
+        with pytest.raises(ValidationFailed):
+            list(iter_simple_paths(parse_document(json.dumps(obj))))
 
     def test_singleton_representative_fails(self):
         from tgstatus.model import InternalNode, Section
@@ -340,6 +369,8 @@ class TestValidation:
         assert "connectivity" not in [v.condition for v in report.violations]
         with pytest.raises(ValidationFailed):
             build_replacement(graph)
+        with pytest.raises(ValidationFailed):
+            list(iter_simple_paths(graph))
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=60)

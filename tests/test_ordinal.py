@@ -85,6 +85,11 @@ class TestFormat:
         with pytest.raises(OrdinalParseError):
             parse_ordinal(text)
 
+    def test_parse_rejects_non_text(self):
+        with pytest.raises(OrdinalParseError) as excinfo:
+            parse_ordinal(3)
+        assert str(excinfo.value) == "expected text, got int"
+
     @given(ordinals())
     def test_round_trip(self, a):
         assert parse_ordinal(format_ordinal(a)) == a

@@ -186,6 +186,19 @@ class TestTranslate:
         result = build_replacement(g)
         assert translate_path(result, AbstractPath(("W1", "S1", "X1"))) == ["W1", "y1", "X1"]
 
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ((), "a path needs at least one element"),
+            (("S1", "X1", "S1"), "path visits a 0-node twice"),
+        ],
+    )
+    def test_rejects_empty_or_repeating_path(self, elements, message):
+        result = build_replacement(load("g1"))
+        with pytest.raises(PathError) as excinfo:
+            translate_path(result, AbstractPath(elements))
+        assert str(excinfo.value) == message
+
     def test_rejects_nonadjacent(self):
         g = load("g3")
         result = build_replacement(g)
