@@ -271,21 +271,25 @@ def _edges(names: tuple[str, ...], adj: bytes) -> list[tuple[str, str]]:
     return [(names[i], names[j]) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
 
 
-def _statuses(adj: Sequence[int]) -> list[int] | None:
-    """Every node's status from adjacency bitmasks; None when disconnected.
+def _statuses(
+    adj: Sequence[int], sources: Iterable[int] | None = None
+) -> list[int | None] | None:
+    """The status of each source node from adjacency bitmasks (every node
+    when sources is None, else None at the nodes not listed); None when
+    the graph is disconnected.
 
     Each source runs a level-synchronous BFS on bitsets.  The first
     level is the source's adjacency; each later level is the set of
     unreached nodes adjacent to the previous one, found by scanning the
     unreached nodes (few, in dense graphs).  The status is the sum over
     k >= 0 of the number of nodes farther than k, so every level adds the
-    count still unreached.  The first source's BFS doubles as the
-    connectivity check.
+    count still unreached.  Any source's BFS doubles as the connectivity
+    check.
     """
     p = len(adj)
     full = (1 << p) - 1
-    statuses = []
-    for source in range(p):
+    statuses: list[int | None] = [None] * p
+    for source in range(p) if sources is None else sources:
         frontier = adj[source]
         rest = full & ~frontier & ~(1 << source)
         status = p - 1
@@ -299,21 +303,48 @@ def _statuses(adj: Sequence[int]) -> list[int] | None:
                 return None
             rest ^= reached
             frontier = reached
-        statuses.append(status)
+        statuses[source] = status
     return statuses
 
 
+def _status_window(p: int, d: int) -> tuple[int, int]:
+    """Least and greatest status of a node of degree d in a connected
+    graph on p nodes.
+
+    Its d neighbours are 1 away and every other node at least 2, which
+    gives the least; the j-th nearest non-neighbour is at most j + 1
+    away, which gives the greatest.
+    """
+    return 2 * (p - 1) - d, d + (p - d) * (p - d + 1) // 2 - 1
+
+
 def _connected_statuses(
-    p: int, edge_counts: Iterable[int]
-) -> Iterator[tuple[int, bytes, list[int]]]:
+    p: int, edge_counts: Iterable[int], targets: tuple[int, ...] = ()
+) -> Iterator[tuple[int, bytes, list[int | None]]]:
     """(q, adjacency, statuses) of every labeled connected graph on p
     nodes with q edges, for each q of edge_counts in turn; within one q,
-    in lexicographic order of the edge combinations."""
+    in lexicographic order of the edge combinations.
+
+    With no targets every status is computed.  With targets, only the
+    nodes whose degree window admits a target get a status (None
+    elsewhere), and a graph with no such node is skipped: it cannot
+    hold a node whose status is a target.
+    """
     words = _pair_words(p)
+    # admits[byte]: a node with this adjacency byte may have a target status.
+    admits = [
+        any(lo <= t <= hi for t in targets)
+        for lo, hi in (_status_window(p, byte.bit_count()) for byte in range(1 << p))
+    ]
     for q in edge_counts:
         for word in map(sum, combinations(words, q)):  # pair words share no bits
             adj = word.to_bytes(p, "little")
-            statuses = _statuses(adj)
+            sources = None
+            if targets:
+                sources = [v for v, byte in enumerate(adj) if admits[byte]]
+                if not sources:
+                    continue
+            statuses = _statuses(adj, sources)
             if statuses is not None:
                 yield q, adj, statuses
 
@@ -354,8 +385,10 @@ def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
     Searches connected labeled graphs with exactly p nodes and q edges in
     deterministic order (edge combinations in lexicographic order) and
     returns the first witness for each bound: the first node of the first
-    graph that achieves it.  Statuses are computed on adjacency bitmasks;
-    a FiniteGraph is built only for a graph that supplies a witness.
+    graph that achieves it.  Statuses are computed on adjacency bitmasks,
+    and only at nodes whose degree window (_status_window) admits a
+    bound, since no other node can be a witness; a FiniteGraph is built
+    only for a graph that supplies a witness.
     Both witnesses exist for every q with p - 1 <= q <= p(p-1)/2.
     """
     _check_enumeration_size(p, "search")
@@ -367,7 +400,7 @@ def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
     lower, upper = status_bounds_values(p, q)
     lower_witness: Witness | None = None
     upper_witness: Witness | None = None
-    for _, adj, statuses in _connected_statuses(p, (q,)):
+    for _, adj, statuses in _connected_statuses(p, (q,), (lower, upper)):
         found_lower = lower_witness is None and lower in statuses
         found_upper = upper_witness is None and upper in statuses
         if found_lower or found_upper:

@@ -10,6 +10,7 @@ from tgstatus.finite_graph import (
     GraphError,
     MAX_ENUMERATION_NODES,
     _connected_statuses,
+    _status_window,
     _statuses,
     count_bound_violations,
     enumerate_connected_graphs,
@@ -253,6 +254,33 @@ class TestBitmaskKernel:
             seen = [(q, list(adj), statuses) for q, adj, statuses in _connected_statuses(p, (q,))]
             assert seen == expected, (p, q)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_statuses_of_listed_sources_on_every_edge_mask(self, p):
+        for mask in range(1 << (p * (p - 1) // 2)):
+            nodes, edges, adj = graph_of_mask(p, mask)
+            expected = [oracle_status(nodes, edges, v) for v in nodes]
+            for subset in range(1, 1 << p):
+                sources = [v for v in nodes if subset >> v & 1]
+                if None in expected:
+                    assert _statuses(adj, sources) is None, (p, mask, sources)
+                else:
+                    listed = [expected[v] if v in sources else None for v in nodes]
+                    assert _statuses(adj, sources) == listed, (p, mask, sources)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_status_window_is_sound_and_tight(self, p):
+        reached = {d: set() for d in range(p)}
+        for _, adj, statuses in _connected_statuses(p, range(p - 1, p * (p - 1) // 2 + 1)):
+            assert None not in statuses, (p, list(adj))
+            for v, status in enumerate(statuses):
+                d = adj[v].bit_count()
+                lo, hi = _status_window(p, d)
+                assert lo <= status <= hi, (p, list(adj), v)
+                reached[d].add(status)
+        # A connected graph on p >= 2 nodes has every degree from 1 to p - 1.
+        for d in range(1 if p >= 2 else 0, p):
+            assert set(_status_window(p, d)) <= reached[d], (p, d)
+
     @pytest.mark.parametrize(
         "p, count", [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)]
     )
@@ -263,6 +291,25 @@ class TestBitmaskKernel:
     def test_count_bound_violations_rejects_unsupported_p(self, p):
         with pytest.raises(GraphError):
             count_bound_violations(p)
+
+
+def reference_extremal_search(p, q):
+    """[(edges, node, status)] of the first witness of the lower and of the
+    upper status bound: every node of every connected graph with q edges,
+    in lexicographic order of the edge combinations, by the oracle."""
+    names = [f"v{i}" for i in range(1, p + 1)]
+    bounds = [p - 1, (p - 1) * (p + 2) // 2 - q]
+    witnesses = [None, None]
+    for edges in combinations(combinations(names, 2), q):
+        statuses = [oracle_status(names, edges, v) for v in names]
+        if None in statuses:
+            continue
+        for k, bound in enumerate(bounds):
+            if witnesses[k] is None and bound in statuses:
+                witnesses[k] = (set(edges), names[statuses.index(bound)], bound)
+        if None not in witnesses:
+            return witnesses
+    raise AssertionError(f"no witness for p={p}, q={q}")
 
 
 class TestExtremalSearch:
@@ -292,6 +339,13 @@ class TestExtremalSearch:
             lo, up = status_bounds_values(5, q)
             assert oracle_status(lower.graph.nodes, lower.graph.edges, lower.node) == lo
             assert oracle_status(upper.graph.nodes, upper.graph.edges, upper.node) == up
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_matches_unpruned_reference_search(self, p):
+        for q in range(p - 1, p * (p - 1) // 2 + 1):
+            lower, upper = extremal_search(p, q)
+            found = [(set(w.graph.edges), w.node, w.status) for w in (lower, upper)]
+            assert found == reference_extremal_search(p, q), (p, q)
 
     def test_deterministic(self):
         first = extremal_search(4, 4)
