@@ -13,7 +13,6 @@ from typing import Any, Callable, NoReturn, TypeVar
 import click
 
 from .finite_graph import (
-    BoundsResult,
     FiniteGraph,
     GraphError,
     MAX_ENUMERATION_NODES,
@@ -32,7 +31,7 @@ from .model import (
 )
 from .model import validate as validate_model
 from .replacement import build_replacement
-from .status import StatusError, mu_status, status_report
+from .status import StatusError, StatusReport, mu_status, status_report
 
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
@@ -60,14 +59,15 @@ def _load(path: str, parse: Callable[[str], Doc]) -> Doc:
         _input_error(f"{path}: {exc}")
 
 
-def _rank0_statuses(graph: FiniteGraph, path: str) -> tuple[BoundsResult, dict[str, int]] | None:
-    """Bounds and every node's status of a rank-0 document, or None when
-    it is disconnected.  A document without nodes is an input error."""
-    if graph.p == 0:
-        _input_error(f"{path}: bounds need at least one node")
-    if not graph.is_connected():
-        return None
-    return graph.status_bounds(), {node: graph.status(node) for node in graph.nodes}
+def _report(doc: TransfiniteGraph | FiniteGraph, path: str) -> StatusReport | None:
+    """The status report of a document, or None for a disconnected rank-0
+    one.  A rank-0 document without nodes is an input error."""
+    if isinstance(doc, FiniteGraph):
+        if doc.p == 0:
+            _input_error(f"{path}: bounds need at least one node")
+        if not doc.is_connected():
+            return None
+    return status_report(doc)
 
 
 def _count(n: int, noun: str) -> str:
@@ -190,51 +190,30 @@ def status(file: str, node_id: str | None, walk_based: bool, as_json: bool) -> N
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def bounds(file: str, as_json: bool) -> None:
     """Print p, q, the status bounds and which nodes achieve them."""
-    doc = _load(file, load_document)
-    if isinstance(doc, TransfiniteGraph):
-        obj = status_report(doc).to_json_obj()
-        del obj["nodes"]
-        _echo_report(obj, as_json)
-        return
-    rank0 = _rank0_statuses(doc, file)
-    if rank0 is None:
+    report = _report(_load(file, load_document), file)
+    if report is None:
         click.echo("error: bounds are undefined on a disconnected graph", err=True)
         sys.exit(EXIT_FAILURE)
-    result, statuses = rank0
-    _echo_report(
-        {
-            "rank": 0,
-            "p": result.p,
-            "q": result.q,
-            "lower": result.lower,
-            "upper": result.upper,
-            "achieved_lower": [n for n in doc.nodes if statuses[n] == result.lower],
-            "achieved_upper": [n for n in doc.nodes if statuses[n] == result.upper],
-        },
-        as_json,
-    )
+    obj = report.to_json_obj()
+    del obj["nodes"]
+    _echo_report(obj, as_json)
 
 
 @main.command("ejs-check")
 @click.argument("file")
 def ejs_check(file: str) -> None:
     """Verify the status bounds for every node of a rank-0 document."""
-    graph = _load(file, parse_finite_document)
-    rank0 = _rank0_statuses(graph, file)
-    if rank0 is None:
+    report = _report(_load(file, parse_finite_document), file)
+    if report is None:
         click.echo("violation: graph is not connected")
         sys.exit(EXIT_FAILURE)
-    result, statuses = rank0
-    click.echo(f"p: {result.p}")
-    click.echo(f"q: {result.q}")
-    click.echo(f"lower: {result.lower}")
-    click.echo(f"upper: {result.upper}")
-    violations = 0
-    for node, s in statuses.items():
-        if not result.lower <= s <= result.upper:
-            click.echo(f"violation: node {node} status {s} outside [{result.lower}, {result.upper}]")
-            violations += 1
-    click.echo(f"checked {_count(graph.p, 'node')}, {_count(violations, 'violation')}")
+    obj = report.to_json_obj()
+    _echo_report({key: obj[key] for key in ("p", "q", "lower", "upper")}, as_json=False)
+    lower, upper = report.lower, report.upper
+    violations = [e for e in report.entries if not lower <= e.status <= upper]
+    for e in violations:
+        click.echo(f"violation: node {e.id} status {e.status} outside [{lower}, {upper}]")
+    click.echo(f"checked {_count(report.p, 'node')}, {_count(len(violations), 'violation')}")
     if violations:
         sys.exit(EXIT_FAILURE)
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+from .ordinal import Ordinal
+
 __all__ = [
     "BoundsResult",
     "FiniteGraph",
@@ -217,12 +219,14 @@ def _dot_escape(text: str) -> str:
 
 @dataclass(frozen=True)
 class BoundsResult:
-    """Status bounds of a connected graph with p nodes and q edges."""
+    """Status bounds of a connected graph with p nodes and q edges: ints
+    for a finite graph, w^mu-scaled Ordinals for a rank-mu graph's
+    replacement."""
 
     p: int
     q: int
-    lower: int
-    upper: int
+    lower: int | Ordinal
+    upper: int | Ordinal
 
 
 @dataclass(frozen=True)

@@ -6,23 +6,24 @@ distance between two nodes is w^mu times the hop distance between their
 0-node, and the status of a node is the ordinal sum of its distances to
 every nonsingleton mu-node and every section representative (plus any
 included singletons).  With p 0-nodes and q branches every status lies
-in [w^mu*(p-1), w^mu*((p-1)(p+2)/2 - q)].
+in [w^mu*(p-1), w^mu*((p-1)(p+2)/2 - q)].  A rank-0 graph is its own
+0-graph: its status report holds the integer statuses of its nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any
 
-from .finite_graph import status_bounds_values
+from .finite_graph import BoundsResult, FiniteGraph, status_bounds_values
 from .model import TransfiniteGraph, ValidationFailed, validate
 from .ordinal import Ordinal, omega_term
 from .replacement import AbstractPath, ReplacementResult, build_replacement
 
 __all__ = [
     "KIND_MU_NODE",
+    "KIND_NODE",
     "KIND_SECTION_REPRESENTATIVE",
-    "MuBounds",
     "StatusEntry",
     "StatusError",
     "StatusReport",
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 KIND_MU_NODE = "mu-node"
+KIND_NODE = "node"
 KIND_SECTION_REPRESENTATIVE = "section-representative"
 
 
@@ -41,44 +43,44 @@ class StatusError(ValueError):
     """A distance or status query that cannot be answered."""
 
 
-class MuBounds(NamedTuple):
-    lower: Ordinal
-    upper: Ordinal
-    p: int
-    q: int
-
-
 @dataclass(frozen=True)
 class StatusEntry:
     id: str
     kind: str
-    status: Ordinal
+    status: int | Ordinal
 
 
 @dataclass(frozen=True)
 class StatusReport:
-    """Statuses of every nonsingleton mu-node and section representative,
-    together with the bounds they are guaranteed to satisfy."""
+    """Statuses of every node of a graph, together with the bounds they are
+    guaranteed to satisfy.
+
+    At rank 0 the entries are the nodes of a finite graph (kind "node")
+    and every value is an int.  At rank mu >= 1 they are the nonsingleton
+    mu-nodes and section representatives, and every value is an Ordinal.
+    """
 
     rank: int
     p: int
     q: int
-    lower: Ordinal
-    upper: Ordinal
+    lower: int | Ordinal
+    upper: int | Ordinal
     entries: tuple[StatusEntry, ...]
     achieved_lower: tuple[str, ...]
     achieved_upper: tuple[str, ...]
     included_singletons: tuple[str, ...] = ()
 
     def to_json_obj(self) -> dict[str, Any]:
+        """The report as JSON: ordinals as text, rank-0 integers as numbers."""
+        value = str if self.rank else int
         obj: dict[str, Any] = {
             "rank": self.rank,
             "p": self.p,
             "q": self.q,
-            "lower": str(self.lower),
-            "upper": str(self.upper),
+            "lower": value(self.lower),
+            "upper": value(self.upper),
             "nodes": [
-                {"id": entry.id, "kind": entry.kind, "status": str(entry.status)}
+                {"id": entry.id, "kind": entry.kind, "status": value(entry.status)}
                 for entry in self.entries
             ],
             "achieved_lower": list(self.achieved_lower),
@@ -177,41 +179,49 @@ def mu_status(graph: TransfiniteGraph, result: ReplacementResult, x: str) -> Ord
     return total
 
 
-def mu_status_bounds(graph: TransfiniteGraph, result: ReplacementResult) -> MuBounds:
+def mu_status_bounds(graph: TransfiniteGraph, result: ReplacementResult) -> BoundsResult:
     """Status bounds scaled by w^mu, from the replacement graph's p and q."""
     if not result.graph.is_connected():
         raise StatusError("bounds are undefined: the replacement graph is not connected")
     p, q = result.graph.p, result.graph.q
     lower, upper = status_bounds_values(p, q)
-    return MuBounds(
-        lower=omega_term(graph.rank, lower),
-        upper=omega_term(graph.rank, upper),
-        p=p,
-        q=q,
+    return BoundsResult(
+        p=p, q=q, lower=omega_term(graph.rank, lower), upper=omega_term(graph.rank, upper)
     )
 
 
-def status_report(graph: TransfiniteGraph, walk_based: bool = False) -> StatusReport:
-    """Validate, build the replacement, and report every status.
+def status_report(
+    graph: TransfiniteGraph | FiniteGraph, walk_based: bool = False
+) -> StatusReport:
+    """Report every status of a graph and the bounds they satisfy.
 
-    Entries follow the replacement's 0-node order without the included
-    singletons: the nonsingleton mu-nodes in declaration order, then the
-    section representatives in section order.  Raises
-    ValidationFailed when validation does not pass.
+    A finite (rank-0) graph reports every node in node order; it must be
+    connected and have a node, else GraphError is raised.  A transfinite
+    graph is validated, its replacement is built, and entries follow the
+    replacement's 0-node order without the included singletons: the
+    nonsingleton mu-nodes in declaration order, then the section
+    representatives in section order.  Raises ValidationFailed when
+    validation does not pass.  walk_based applies to transfinite graphs.
     """
-    report = validate(graph, walk_based)
-    if not report.passed:
-        raise ValidationFailed(report)
-    result = build_replacement(graph, walk_based=walk_based)
-    bounds = mu_status_bounds(graph, result)
-    kinds = {"mu-node": KIND_MU_NODE, "section": KIND_SECTION_REPRESENTATIVE}
-    entries = [
-        StatusEntry(node, kinds[kind], mu_status(graph, result, node))
-        for node, (kind, _) in result.origin.items()
-        if kind != "singleton"
-    ]
+    if isinstance(graph, FiniteGraph):
+        rank, singletons = 0, ()
+        bounds = graph.status_bounds()
+        entries = [StatusEntry(node, KIND_NODE, graph.status(node)) for node in graph.nodes]
+    else:
+        report = validate(graph, walk_based)
+        if not report.passed:
+            raise ValidationFailed(report)
+        rank, singletons = graph.rank, graph.include_singletons
+        result = build_replacement(graph, walk_based=walk_based)
+        bounds = mu_status_bounds(graph, result)
+        kinds = {"mu-node": KIND_MU_NODE, "section": KIND_SECTION_REPRESENTATIVE}
+        entries = [
+            StatusEntry(node, kinds[kind], mu_status(graph, result, node))
+            for node, (kind, _) in result.origin.items()
+            if kind != "singleton"
+        ]
     return StatusReport(
-        rank=graph.rank,
+        rank=rank,
         p=bounds.p,
         q=bounds.q,
         lower=bounds.lower,
@@ -219,5 +229,5 @@ def status_report(graph: TransfiniteGraph, walk_based: bool = False) -> StatusRe
         entries=tuple(entries),
         achieved_lower=tuple(e.id for e in entries if e.status == bounds.lower),
         achieved_upper=tuple(e.id for e in entries if e.status == bounds.upper),
-        included_singletons=graph.include_singletons,
+        included_singletons=singletons,
     )

@@ -279,7 +279,10 @@ class TestBounds:
     def test_disconnected_rank0_exit_1(self, tmp_path):
         doc = tmp_path / "disc.json"
         doc.write_text('{"rank": 0, "nodes": ["a", "b"], "edges": []}')
-        assert run("bounds", doc).exit_code == 1
+        result = run("bounds", doc)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: bounds are undefined on a disconnected graph\n"
 
     def test_rank0_without_nodes_exit_2(self, tmp_path):
         assert_no_nodes_input_error("bounds", tmp_path)
@@ -301,7 +304,7 @@ class TestEjsCheck:
         doc.write_text('{"rank": 0, "nodes": ["a", "b"], "edges": []}')
         result = run("ejs-check", doc)
         assert result.exit_code == 1
-        assert "not connected" in result.output
+        assert result.stdout == "violation: graph is not connected\n"
 
     def test_transfinite_rejected(self):
         assert run("ejs-check", sample("g1")).exit_code == 2

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from tgstatus.finite_graph import FiniteGraph, GraphError
 from tgstatus.model import ValidationFailed, parse_document
 from tgstatus.ordinal import ZERO, omega_term, parse_ordinal
 from tgstatus.replacement import AbstractPath, build_replacement
 from tgstatus.status import (
     KIND_MU_NODE,
+    KIND_NODE,
     KIND_SECTION_REPRESENTATIVE,
     StatusError,
     geodesic,
@@ -25,6 +27,7 @@ from helpers import (
     oracle_bfs,
     oracle_ordinal_text,
     oracle_replacement,
+    oracle_status,
     random_document,
 )
 
@@ -285,6 +288,34 @@ class TestReport:
         assert walked.entries == pathed.entries
         assert (walked.lower, walked.upper) == (pathed.lower, pathed.upper)
         assert walked.achieved_upper == pathed.achieved_upper
+
+    def test_rank0_matches_oracle(self):
+        rng = random.Random(2005)
+        for p in [1] * 3 + [rng.randint(1, 9) for _ in range(60)]:
+            nodes = [f"n{i}" for i in range(p)]
+            rng.shuffle(nodes)
+            edges = [(nodes[i], nodes[rng.randrange(i)]) for i in range(1, p)]
+            extra = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+            edges += [pair for pair in extra if pair[::-1] not in edges and rng.random() < 0.3]
+            report = status_report(FiniteGraph(nodes, edges))
+            expected = {node: oracle_status(nodes, edges, node) for node in nodes}
+            lower, upper = p - 1, (p - 1) * (p + 2) // 2 - len(edges)
+            assert (report.rank, report.p, report.q) == (0, p, len(edges))
+            assert (report.lower, report.upper) == (lower, upper)
+            assert [e.id for e in report.entries] == nodes
+            assert {e.kind for e in report.entries} == {KIND_NODE}
+            assert all(type(e.status) is int for e in report.entries)
+            assert {e.id: e.status for e in report.entries} == expected
+            assert report.achieved_lower == tuple(n for n in nodes if expected[n] == lower)
+            assert report.achieved_upper == tuple(n for n in nodes if expected[n] == upper)
+            obj = report.to_json_obj()
+            assert json.loads(json.dumps(obj)) == obj
+            assert (obj["lower"], obj["upper"]) == (lower, upper)
+            assert [n["status"] for n in obj["nodes"]] == [expected[n] for n in nodes]
+        with pytest.raises(GraphError, match="at least one node"):
+            status_report(FiniteGraph([]))
+        with pytest.raises(GraphError, match="disconnected"):
+            status_report(FiniteGraph(["a", "b", "c"], [("a", "b")]))
 
     def test_statuses_are_single_scaled_terms(self):
         rng = random.Random(77)
