@@ -15,7 +15,7 @@ import click
 from .finite_graph import (
     FiniteGraph,
     GraphError,
-    MAX_ENUMERATION_NODES,
+    MAX_VERIFY_NODES,
     Witness,
     count_bound_violations,
     extremal_search,
@@ -224,12 +224,12 @@ def ejs_check(file: str) -> None:
     "max_p",
     type=int,
     required=True,
-    help=f"Largest node count (<= {MAX_ENUMERATION_NODES}).",
+    help=f"Largest node count (<= {MAX_VERIFY_NODES}); one graph per isomorphism class is checked.",
 )
 def verify_ejs(max_p: int) -> None:
     """Exhaustively verify the status bounds on all small connected graphs."""
-    if not 1 <= max_p <= MAX_ENUMERATION_NODES:
-        _input_error(f"--max-p must be between 1 and {MAX_ENUMERATION_NODES}, got {max_p}")
+    if not 1 <= max_p <= MAX_VERIFY_NODES:
+        _input_error(f"--max-p must be between 1 and {MAX_VERIFY_NODES}, got {max_p}")
     total_graphs = 0
     total_violations = 0
     for p in range(1, max_p + 1):

@@ -7,13 +7,16 @@ In a connected graph with p nodes and q edges every status s satisfies
 
 and both ends are achievable for every feasible q.  This module provides
 the graph substrate, the bounds check, exhaustive enumeration of small
-labeled connected graphs, and an extremal search for bound witnesses.
+labeled connected graphs, an exhaustive check of the bounds over small
+connected graphs up to isomorphism, and an extremal search for bound
+witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .ordinal import Ordinal
@@ -23,6 +26,7 @@ __all__ = [
     "FiniteGraph",
     "GraphError",
     "MAX_ENUMERATION_NODES",
+    "MAX_VERIFY_NODES",
     "Witness",
     "count_bound_violations",
     "enumerate_connected_graphs",
@@ -31,6 +35,7 @@ __all__ = [
 ]
 
 MAX_ENUMERATION_NODES = 7
+MAX_VERIFY_NODES = 9
 
 
 class GraphError(ValueError):
@@ -247,21 +252,23 @@ def _node_names(p: int) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(1, p + 1))
 
 
-def _check_enumeration_size(p: object, what: str) -> None:
-    if not isinstance(p, int) or not 1 <= p <= MAX_ENUMERATION_NODES:
-        raise GraphError(f"{what} supports 1 <= p <= {MAX_ENUMERATION_NODES}, got {p!r}")
+def _check_enumeration_size(p: object, what: str, cap: int = MAX_ENUMERATION_NODES) -> None:
+    if not isinstance(p, int) or not 1 <= p <= cap:
+        raise GraphError(f"{what} supports 1 <= p <= {cap}, got {p!r}")
 
 
 # Small graphs live in the bitmask domain.  Node i is bit i, and a graph
-# on p <= 7 nodes is an adjacency word whose byte i is the bitmask of i's
-# neighbours; word.to_bytes(p, "little") indexes it by node.  Each pair
-# (i, j), i < j, has its own word from _pair_words, in lexicographic
-# order, and a graph's word is the OR of the words of its edges.
-# _MEMBERS lists the nodes of every node bitmask.
+# is a sequence of adjacency bitmasks, item i the neighbours of i.  The
+# labeled scan packs a graph on p <= 7 nodes into one adjacency word
+# whose byte i is the bitmask of i's neighbours; word.to_bytes(p,
+# "little") indexes it by node.  Each pair (i, j), i < j, has its own
+# word from _pair_words, in lexicographic order, and a graph's word is
+# the OR of the words of its edges.  _MEMBERS lists the nodes of every
+# node bitmask.
 
 _MEMBERS = [
-    tuple(v for v in range(MAX_ENUMERATION_NODES) if mask >> v & 1)
-    for mask in range(1 << MAX_ENUMERATION_NODES)
+    tuple(v for v in range(MAX_VERIFY_NODES) if mask >> v & 1)
+    for mask in range(1 << MAX_VERIFY_NODES)
 ]
 
 
@@ -366,20 +373,155 @@ def enumerate_connected_graphs(p: int) -> Iterator[FiniteGraph]:
         yield FiniteGraph(names, _edges(names, adj))
 
 
-def count_bound_violations(p: int) -> tuple[int, int]:
-    """(connected graphs, nodes outside the status bounds) over every
-    labeled connected graph on p nodes, for 1 <= p <= 7.
+def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
+    """The coarsest equitable refinement of an ordered partition whose
+    cells are node bitmasks.
 
-    Statuses are computed on adjacency bitmasks; no FiniteGraph is built.
+    Each round splits every cell by the number of neighbours its nodes
+    have in each cell, packed into one int key (p.bit_length() bits per
+    cell, in cell order), and orders the parts by key, until a round
+    splits nothing.  The result depends on the graph and the input
+    partition only, so relabeling both relabels the result.
     """
-    _check_enumeration_size(p, "enumeration")
+    shift = len(adj).bit_length()
+    while True:
+        split = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            for v in _MEMBERS[cell]:
+                row = adj[v]
+                key = 0
+                for other in cells:
+                    key = key << shift | (row & other).bit_count()
+                parts[key] = parts.get(key, 0) | 1 << v
+            split += [parts[key] for key in sorted(parts)]
+        if len(split) == len(cells):
+            return split
+        cells = split
+
+
+def _canonical_form(adj: Sequence[int]) -> tuple[int, int]:
+    """(canonical word, automorphism count) of a graph given by its
+    adjacency bitmasks.
+
+    Individualisation-refinement: refine the unit partition, then branch
+    on every node of the first non-singleton cell, which becomes a
+    singleton cell just before the rest of its cell, and refine again,
+    until the partition is discrete.  A discrete partition gives node
+    cells[i] the label i, and its leaf word holds the relabeled row of
+    label i at bit p*i.  The tree is built from the graph alone, so
+    every labeling of a graph has the same least leaf word, and that
+    word encodes the graph: it is the canonical form.  Automorphisms
+    permute the leaves without fixed points, and two leaves with one word
+    differ by an automorphism, so exactly |Aut| leaves reach the least
+    word.  The tree is not pruned, so every leaf is visited.
+    """
+    p = len(adj)
+    best = -1
+    count = 0
+    stack = [_refine(adj, [(1 << p) - 1])]
+    while stack:
+        cells = stack.pop()
+        if len(cells) < p:
+            k = next(k for k, cell in enumerate(cells) if cell & (cell - 1))
+            head, cell, tail = cells[:k], cells[k], cells[k + 1 :]
+            for v in _MEMBERS[cell]:
+                stack.append(_refine(adj, head + [1 << v, cell ^ 1 << v] + tail))
+            continue
+        bit = [0] * p
+        for label, cell in enumerate(cells):
+            bit[cell.bit_length() - 1] = 1 << label
+        word = 0
+        for cell in reversed(cells):
+            row = 0
+            for v in _MEMBERS[adj[cell.bit_length() - 1]]:
+                row |= bit[v]
+            word = word << p | row
+        if word == best:
+            count += 1
+        elif best < 0 or word < best:
+            best, count = word, 1
+    return best, count
+
+
+def _rows(word: int, p: int) -> list[int]:
+    """The adjacency bitmasks packed in a leaf word on p nodes."""
+    return [word >> (p * i) & (1 << p) - 1 for i in range(p)]
+
+
+def _spans(adj: Sequence[int], nodes: int) -> bool:
+    """True when the nodes of a non-empty bitmask induce a connected
+    subgraph."""
+    reached = frontier = nodes & -nodes
+    while frontier:
+        grown = 0
+        for v in _MEMBERS[frontier]:
+            grown |= adj[v]
+        frontier = grown & nodes & ~reached
+        reached |= frontier
+    return reached == nodes
+
+
+def _least_degree_last(adj: Sequence[int]) -> bool:
+    """True when no non-cut node (one whose deletion leaves the graph
+    connected) has a smaller degree than the last node."""
+    last = len(adj) - 1
+    nodes = (1 << len(adj)) - 1
+    degree = adj[last].bit_count()
+    return not any(
+        adj[u].bit_count() < degree and _spans(adj, nodes ^ 1 << u) for u in range(last)
+    )
+
+
+def _connected_classes(p: int) -> Iterator[tuple[list[int], int]]:
+    """(adjacency, automorphism count) of one graph from each isomorphism
+    class of connected graphs on p nodes.
+
+    Every connected graph on n >= 2 nodes has a non-cut node (an end of a
+    longest path).  Take a non-cut node m of least degree among them: the
+    graph is a connected graph on n - 1 nodes plus m, joined to a
+    non-empty set of them.  So each level joins a new last node to every
+    non-empty node set of every class of the level before, skips the
+    graphs that fail _least_degree_last (each class is still reached
+    through its node m), and keeps one graph per canonical word.
+    """
+    level = {0: 1}  # the single node: word 0, one automorphism
+    for n in range(1, p):
+        top = 1 << n
+        grown: dict[int, int] = {}
+        for word in level:
+            rows = _rows(word, n)
+            for joined in range(1, top):
+                adj = rows + [joined]
+                for v in _MEMBERS[joined]:
+                    adj[v] |= top
+                if _least_degree_last(adj):
+                    canonical, automorphisms = _canonical_form(adj)
+                    grown.setdefault(canonical, automorphisms)
+        level = grown
+    for word, automorphisms in level.items():
+        yield _rows(word, p), automorphisms
+
+
+def count_bound_violations(p: int) -> tuple[int, int]:
+    """(labeled connected graphs, labeled nodes outside the status bounds)
+    on p nodes, for 1 <= p <= MAX_VERIFY_NODES.
+
+    One graph per isomorphism class is checked, with a BFS from every
+    node and no pruning, since a status multiset does not depend on the
+    labels; the class stands for its p!/|Aut| labeled graphs.
+    """
+    _check_enumeration_size(p, "verification", MAX_VERIFY_NODES)
     lower = p - 1
     graphs = violations = 0
-    for q, _, statuses in _connected_statuses(p, range(p - 1, p * (p - 1) // 2 + 1)):
-        graphs += 1
-        upper = status_bounds_values(p, q)[1]
-        if min(statuses) < lower or max(statuses) > upper:
-            violations += sum(not lower <= s <= upper for s in statuses)
+    for adj, automorphisms in _connected_classes(p):
+        labelings = factorial(p) // automorphisms
+        upper = status_bounds_values(p, sum(row.bit_count() for row in adj) // 2)[1]
+        graphs += labelings
+        violations += labelings * sum(not lower <= s <= upper for s in _statuses(adj))
     return graphs, violations
 
 

@@ -2,16 +2,16 @@
 
 Everything here is deliberately independent of the package under test:
 plain-dict graph handling, an integer BFS, a union-find connectivity
-counter, and a seeded random document generator.  Acceptance tests
-compare package results against these, so nothing in this module may
-import from tgstatus.
+counter, a brute-force canonical form, and a seeded random document
+generator.  Acceptance tests compare package results against these, so
+nothing in this module may import from tgstatus.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def oracle_bfs(nodes, edges, source):
@@ -64,6 +64,15 @@ def oracle_connected_count(p):
         if components == 1:
             count += 1
     return count
+
+
+def oracle_canonical_word(p, edges):
+    """The least adjacency word of a graph on nodes 0..p-1 over all p!
+    relabelings; bit i*p + j of a word is the pair (i, j), i < j."""
+    return min(
+        sum(1 << min(perm[u], perm[v]) * p + max(perm[u], perm[v]) for u, v in edges)
+        for perm in permutations(range(p))
+    )
 
 
 def oracle_replacement(doc):

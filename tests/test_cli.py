@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from tgstatus.cli import main
+from tgstatus.finite_graph import MAX_VERIFY_NODES
 
 from helpers import document_text, random_document
 
@@ -321,8 +322,22 @@ class TestVerifyEjs:
         assert result.output.splitlines()[-1] == "checked 772 graphs, 0 violations"
 
     def test_out_of_range(self):
-        assert run("verify-ejs", "--max-p", 8).exit_code == 2
-        assert run("verify-ejs", "--max-p", 0).exit_code == 2
+        for max_p in (MAX_VERIFY_NODES + 1, 0):
+            result = run("verify-ejs", "--max-p", max_p)
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert result.stderr == (
+                f"error: --max-p must be between 1 and {MAX_VERIFY_NODES}, got {max_p}\n"
+            )
+
+    def test_max8_golden_matches_a001187(self):
+        # The p = 8 run takes seconds, so the golden is checked against
+        # the sequence here and diffed against the program in CI.
+        counts = [1, 1, 4, 38, 728, 26704, 1866256, 251548592]
+        expected = [f"p={p}: {n} graph{'s' * (n != 1)}, 0 violations" for p, n in enumerate(counts, 1)]
+        expected.append(f"checked {sum(counts)} graphs, 0 violations")
+        assert golden("verify_ejs_max8.txt").splitlines() == expected
+        assert golden("verify_ejs_max7.txt").splitlines()[:7] == expected[:7]
 
 
 class TestExtremal:
@@ -531,6 +546,7 @@ KERNEL_GOLDENS = {
     "extremal_p7.txt": [("extremal", "--p", 7, "--q", q) for q in range(6, 22)],
     "extremal_p6_q9.json": [("extremal", "--p", 6, "--q", 9, "--json")],
     "verify_ejs_max6.txt": [("verify-ejs", "--max-p", 6)],
+    "verify_ejs_max7.txt": [("verify-ejs", "--max-p", 7)],
 }
 
 

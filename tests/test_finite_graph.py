@@ -1,15 +1,22 @@
 """Tests for the finite graph substrate, enumeration and extremal search."""
 
+from collections import defaultdict
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tgstatus import finite_graph
 from tgstatus.finite_graph import (
     FiniteGraph,
     GraphError,
     MAX_ENUMERATION_NODES,
+    MAX_VERIFY_NODES,
+    _canonical_form,
+    _connected_classes,
     _connected_statuses,
+    _least_degree_last,
     _status_window,
     _statuses,
     count_bound_violations,
@@ -18,7 +25,12 @@ from tgstatus.finite_graph import (
     status_bounds_values,
 )
 
-from helpers import oracle_bfs, oracle_connected_count, oracle_status
+from helpers import oracle_bfs, oracle_canonical_word, oracle_connected_count, oracle_status
+
+# Labeled connected graphs on p = 1, 2, ... nodes (OEIS A001187) and
+# their isomorphism classes (OEIS A001349).
+LABELED_CONNECTED = [1, 1, 4, 38, 728, 26704, 1866256]
+CONNECTED_CLASSES = [1, 1, 2, 6, 21, 112, 853]
 
 
 def path_graph(n):
@@ -220,8 +232,13 @@ class TestEnumeration:
 
 def graph_of_mask(p, mask):
     """(nodes, edges, adjacency bitmasks) of an edge mask, built directly."""
+    pairs = combinations(range(p), 2)
+    return graph_of_edges(p, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
+
+
+def graph_of_edges(p, edges):
+    """(nodes, edges, adjacency bitmasks) of an edge list on nodes 0..p-1."""
     nodes = list(range(p))
-    edges = [pair for k, pair in enumerate(combinations(nodes, 2)) if mask >> k & 1]
     adj = [0] * p
     for i, j in edges:
         adj[i] |= 1 << j
@@ -281,16 +298,88 @@ class TestBitmaskKernel:
         for d in range(1 if p >= 2 else 0, p):
             assert set(_status_window(p, d)) <= reached[d], (p, d)
 
-    @pytest.mark.parametrize(
-        "p, count", [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)]
-    )
+    @pytest.mark.parametrize("p, count", enumerate(LABELED_CONNECTED, 1))
     def test_count_bound_violations_matches_a001187(self, p, count):
         assert count_bound_violations(p) == (count, 0)
 
-    @pytest.mark.parametrize("p", [0, MAX_ENUMERATION_NODES + 1, 3.0, "3"])
+    @pytest.mark.parametrize("p", [0, MAX_VERIFY_NODES + 1, 3.0, "3"])
     def test_count_bound_violations_rejects_unsupported_p(self, p):
         with pytest.raises(GraphError):
             count_bound_violations(p)
+
+
+def all_labeled(p):
+    """(q, adjacency, statuses) of every labeled connected graph on p nodes."""
+    return _connected_statuses(p, range(p - 1, p * (p - 1) // 2 + 1))
+
+
+def labeled_classes(p):
+    """{canonical form: [sorted statuses of each labeled graph]} over every
+    labeled connected graph on p nodes."""
+    groups = defaultdict(list)
+    for _, adj, statuses in all_labeled(p):
+        groups[_canonical_form(adj)].append(sorted(statuses))
+    return groups
+
+
+def rows_of(word, p):
+    return [word >> (p * i) & (1 << p) - 1 for i in range(p)]
+
+
+class TestIsomorphismClasses:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_labeled_graphs_fall_into_the_generated_classes(self, p):
+        groups = labeled_classes(p)
+        assert len(groups) == CONNECTED_CLASSES[p - 1]
+        for (word, automorphisms), multisets in groups.items():
+            assert len(multisets) == factorial(p) // automorphisms, (p, word)
+            representative = rows_of(word, p)
+            assert _canonical_form(representative) == (word, automorphisms)
+            assert multisets == [sorted(_statuses(representative))] * len(multisets)
+        generated = [(*_canonical_form(adj), aut) for adj, aut in _connected_classes(p)]
+        assert sorted(generated) == sorted((word, aut, aut) for word, aut in groups)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_canonical_form_partitions_like_brute_force_oracle(self, p):
+        by_form, by_oracle = defaultdict(set), defaultdict(set)
+        for k, (_, adj, _) in enumerate(all_labeled(p)):
+            edges = [(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
+            by_form[_canonical_form(adj)].add(k)
+            by_oracle[oracle_canonical_word(p, edges)].add(k)
+        assert sorted(map(sorted, by_form.values())) == sorted(map(sorted, by_oracle.values()))
+
+    def test_least_degree_last_ignores_cut_nodes(self):
+        # Two K4s, {8, 1, 2, 3} and {4, 5, 6, 7}, joined through node 0:
+        # node 0 has the least degree, 2, but it is a cut node, so the
+        # last node (degree 3) has the least degree of the non-cut nodes.
+        # Without the cut check the classes on up to 8 nodes come out the
+        # same, and on 9 nodes this graph's class is lost.
+        blocks = [(8, 1, 2, 3), (4, 5, 6, 7)]
+        edges = [pair for block in blocks for pair in combinations(block, 2)] + [(0, 3), (0, 4)]
+        _, _, adj = graph_of_edges(9, edges)
+        assert _least_degree_last(adj)
+        # Node 0 is a leaf, and the last node has degree 2.
+        _, _, adj = graph_of_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+        assert not _least_degree_last(adj)
+
+    def test_p7_classes_sum_to_the_labeled_count(self):
+        classes = list(_connected_classes(7))
+        assert len(classes) == CONNECTED_CLASSES[6]
+        assert sum(factorial(7) // aut for _, aut in classes) == LABELED_CONNECTED[6]
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_violations_count_labeled_nodes(self, p, monkeypatch):
+        # Tighten the upper bound by one, so that every node at the bound
+        # is a violation, and compare with the labeled scan.
+        def tight(p, q):
+            return p - 1, (p - 1) * (p + 2) // 2 - q - 1
+
+        expected = sum(
+            sum(s > tight(p, q)[1] for s in statuses) for q, _, statuses in all_labeled(p)
+        )
+        assert expected > 0
+        monkeypatch.setattr(finite_graph, "status_bounds_values", tight)
+        assert count_bound_violations(p) == (LABELED_CONNECTED[p - 1], expected)
 
 
 def reference_extremal_search(p, q):
