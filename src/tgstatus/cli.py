@@ -17,7 +17,7 @@ from .finite_graph import (
     GraphError,
     MAX_VERIFY_NODES,
     Witness,
-    count_bound_violations,
+    bound_violation_counts,
     extremal_search,
 )
 from .model import (
@@ -230,10 +230,8 @@ def verify_ejs(max_p: int) -> None:
     """Exhaustively verify the status bounds on all small connected graphs."""
     if not 1 <= max_p <= MAX_VERIFY_NODES:
         _input_error(f"--max-p must be between 1 and {MAX_VERIFY_NODES}, got {max_p}")
-    total_graphs = 0
-    total_violations = 0
-    for p in range(1, max_p + 1):
-        graphs, violations = count_bound_violations(p)
+    total_graphs = total_violations = 0
+    for p, graphs, violations in bound_violation_counts(max_p):
         click.echo(f"p={p}: {_count(graphs, 'graph')}, {_count(violations, 'violation')}")
         total_graphs += graphs
         total_violations += violations

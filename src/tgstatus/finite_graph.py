@@ -28,7 +28,7 @@ __all__ = [
     "MAX_ENUMERATION_NODES",
     "MAX_VERIFY_NODES",
     "Witness",
-    "count_bound_violations",
+    "bound_violation_counts",
     "enumerate_connected_graphs",
     "extremal_search",
     "status_bounds_values",
@@ -253,7 +253,7 @@ def _node_names(p: int) -> tuple[str, ...]:
 
 
 def _check_enumeration_size(p: object, what: str, cap: int = MAX_ENUMERATION_NODES) -> None:
-    if not isinstance(p, int) or not 1 <= p <= cap:
+    if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= cap:
         raise GraphError(f"{what} supports 1 <= p <= {cap}, got {p!r}")
 
 
@@ -476,20 +476,21 @@ def _least_degree_last(adj: Sequence[int]) -> bool:
     )
 
 
-def _connected_classes(p: int) -> Iterator[tuple[list[int], int]]:
-    """(adjacency, automorphism count) of one graph from each isomorphism
-    class of connected graphs on p nodes.
+def _connected_classes(max_p: int) -> Iterator[dict[int, int]]:
+    """{canonical word: automorphism count} of the isomorphism classes of
+    connected graphs on n nodes, one level for each n = 1, ..., max_p.
 
     Every connected graph on n >= 2 nodes has a non-cut node (an end of a
     longest path).  Take a non-cut node m of least degree among them: the
     graph is a connected graph on n - 1 nodes plus m, joined to a
     non-empty set of them.  So each level joins a new last node to every
-    non-empty node set of every class of the level before, skips the
-    graphs that fail _least_degree_last (each class is still reached
-    through its node m), and keeps one graph per canonical word.
+    non-empty node set of every class of the level yielded before it,
+    skips the graphs that fail _least_degree_last (each class is still
+    reached through its node m), and keeps one graph per canonical word.
     """
     level = {0: 1}  # the single node: word 0, one automorphism
-    for n in range(1, p):
+    yield level
+    for n in range(1, max_p):
         top = 1 << n
         grown: dict[int, int] = {}
         for word in level:
@@ -501,28 +502,29 @@ def _connected_classes(p: int) -> Iterator[tuple[list[int], int]]:
                 if _least_degree_last(adj):
                     canonical, automorphisms = _canonical_form(adj)
                     grown.setdefault(canonical, automorphisms)
+        yield grown
         level = grown
-    for word, automorphisms in level.items():
-        yield _rows(word, p), automorphisms
 
 
-def count_bound_violations(p: int) -> tuple[int, int]:
-    """(labeled connected graphs, labeled nodes outside the status bounds)
-    on p nodes, for 1 <= p <= MAX_VERIFY_NODES.
+def bound_violation_counts(max_p: int) -> Iterator[tuple[int, int, int]]:
+    """(p, labeled connected graphs, labeled nodes outside the status
+    bounds) for p = 1, ..., max_p <= MAX_VERIFY_NODES, each row as soon
+    as one walk has built the classes on p nodes.
 
     One graph per isomorphism class is checked, with a BFS from every
     node and no pruning, since a status multiset does not depend on the
     labels; the class stands for its p!/|Aut| labeled graphs.
     """
-    _check_enumeration_size(p, "verification", MAX_VERIFY_NODES)
-    lower = p - 1
-    graphs = violations = 0
-    for adj, automorphisms in _connected_classes(p):
-        labelings = factorial(p) // automorphisms
-        upper = status_bounds_values(p, sum(row.bit_count() for row in adj) // 2)[1]
-        graphs += labelings
-        violations += labelings * sum(not lower <= s <= upper for s in _statuses(adj))
-    return graphs, violations
+    _check_enumeration_size(max_p, "verification", MAX_VERIFY_NODES)
+    for p, level in enumerate(_connected_classes(max_p), 1):
+        graphs = violations = 0
+        for word, automorphisms in level.items():
+            adj = _rows(word, p)
+            labelings = factorial(p) // automorphisms
+            lower, upper = status_bounds_values(p, sum(row.bit_count() for row in adj) // 2)
+            graphs += labelings
+            violations += labelings * sum(not lower <= s <= upper for s in _statuses(adj))
+        yield p, graphs, violations
 
 
 def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
@@ -538,9 +540,9 @@ def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
     Both witnesses exist for every q with p - 1 <= q <= p(p-1)/2.
     """
     _check_enumeration_size(p, "search")
-    if not p - 1 <= q <= p * (p - 1) // 2:
+    if isinstance(q, bool) or not isinstance(q, int) or not p - 1 <= q <= p * (p - 1) // 2:
         raise GraphError(
-            f"q={q} outside the feasible range [{p - 1}, {p * (p - 1) // 2}] for p={p}"
+            f"q={q!r} outside the feasible range [{p - 1}, {p * (p - 1) // 2}] for p={p}"
         )
     names = _node_names(p)
     lower, upper = status_bounds_values(p, q)

@@ -17,6 +17,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "sample_graphs"
 GOLDEN = ROOT / "tests" / "golden"
 
+# Labeled connected graphs on p = 1, 2, ... nodes (OEIS A001187).
+LABELED_CONNECTED = [1, 1, 4, 38, 728, 26704, 1866256, 251548592, 66296291072]
+
 
 def run(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
@@ -333,11 +336,20 @@ class TestVerifyEjs:
     def test_max8_golden_matches_a001187(self):
         # The p = 8 run takes seconds, so the golden is checked against
         # the sequence here and diffed against the program in CI.
-        counts = [1, 1, 4, 38, 728, 26704, 1866256, 251548592]
+        counts = LABELED_CONNECTED[:8]
         expected = [f"p={p}: {n} graph{'s' * (n != 1)}, 0 violations" for p, n in enumerate(counts, 1)]
         expected.append(f"checked {sum(counts)} graphs, 0 violations")
         assert golden("verify_ejs_max8.txt").splitlines() == expected
         assert golden("verify_ejs_max7.txt").splitlines()[:7] == expected[:7]
+
+    def test_max9_golden_matches_a001187(self):
+        # The p = 9 run takes about a minute, so it runs in CI only.
+        lines = golden("verify_ejs_max9.txt").splitlines()
+        assert lines[:8] == golden("verify_ejs_max8.txt").splitlines()[:8]
+        assert lines[8:] == [
+            "p=9: 66296291072 graphs, 0 violations",
+            f"checked {sum(LABELED_CONNECTED)} graphs, 0 violations",
+        ]
 
 
 class TestExtremal:

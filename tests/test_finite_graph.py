@@ -5,9 +5,11 @@ from itertools import combinations
 from math import factorial
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from tgstatus import finite_graph
+from tgstatus.cli import main
 from tgstatus.finite_graph import (
     FiniteGraph,
     GraphError,
@@ -19,7 +21,7 @@ from tgstatus.finite_graph import (
     _least_degree_last,
     _status_window,
     _statuses,
-    count_bound_violations,
+    bound_violation_counts,
     enumerate_connected_graphs,
     extremal_search,
     status_bounds_values,
@@ -228,6 +230,9 @@ class TestEnumeration:
             list(enumerate_connected_graphs(0))
         with pytest.raises(GraphError):
             list(enumerate_connected_graphs(MAX_ENUMERATION_NODES + 1))
+        for p in (True, False):
+            with pytest.raises(GraphError):
+                list(enumerate_connected_graphs(p))
 
 
 def graph_of_mask(p, mask):
@@ -299,13 +304,15 @@ class TestBitmaskKernel:
             assert set(_status_window(p, d)) <= reached[d], (p, d)
 
     @pytest.mark.parametrize("p, count", enumerate(LABELED_CONNECTED, 1))
-    def test_count_bound_violations_matches_a001187(self, p, count):
-        assert count_bound_violations(p) == (count, 0)
+    def test_bound_violation_counts_matches_a001187(self, p, count):
+        rows = list(bound_violation_counts(p))
+        assert rows == [(n, c, 0) for n, c in enumerate(LABELED_CONNECTED[:p], 1)]
+        assert rows[-1] == (p, count, 0)
 
-    @pytest.mark.parametrize("p", [0, MAX_VERIFY_NODES + 1, 3.0, "3"])
-    def test_count_bound_violations_rejects_unsupported_p(self, p):
+    @pytest.mark.parametrize("p", [0, MAX_VERIFY_NODES + 1, 3.0, "3", True, False])
+    def test_bound_violation_counts_rejects_unsupported_p(self, p):
         with pytest.raises(GraphError):
-            count_bound_violations(p)
+            list(bound_violation_counts(p))
 
 
 def all_labeled(p):
@@ -336,7 +343,8 @@ class TestIsomorphismClasses:
             representative = rows_of(word, p)
             assert _canonical_form(representative) == (word, automorphisms)
             assert multisets == [sorted(_statuses(representative))] * len(multisets)
-        generated = [(*_canonical_form(adj), aut) for adj, aut in _connected_classes(p)]
+        level = list(_connected_classes(p))[p - 1]
+        generated = [(*_canonical_form(rows_of(word, p)), aut) for word, aut in level.items()]
         assert sorted(generated) == sorted((word, aut, aut) for word, aut in groups)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -363,9 +371,26 @@ class TestIsomorphismClasses:
         assert not _least_degree_last(adj)
 
     def test_p7_classes_sum_to_the_labeled_count(self):
-        classes = list(_connected_classes(7))
-        assert len(classes) == CONNECTED_CLASSES[6]
-        assert sum(factorial(7) // aut for _, aut in classes) == LABELED_CONNECTED[6]
+        levels = list(_connected_classes(7))
+        assert [len(level) for level in levels] == CONNECTED_CLASSES
+        for p, level in enumerate(levels, 1):
+            assert sum(factorial(p) // aut for aut in level.values()) == LABELED_CONNECTED[p - 1]
+
+    @pytest.mark.parametrize("max_p, calls", [(6, 364), (7, 2796)])
+    def test_verify_ejs_builds_each_level_once(self, max_p, calls, monkeypatch):
+        # One walk builds each level n >= 2 once, with one canonical form
+        # per extension of a class on n - 1 nodes that _least_degree_last
+        # keeps; building the levels again for every p takes 452 and 3,248.
+        counted = []
+
+        def counting(adj):
+            counted.append(len(adj))
+            return _canonical_form(adj)
+
+        monkeypatch.setattr(finite_graph, "_canonical_form", counting)
+        result = CliRunner().invoke(main, ["verify-ejs", "--max-p", str(max_p)])
+        assert result.exit_code == 0
+        assert len(counted) == calls
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_violations_count_labeled_nodes(self, p, monkeypatch):
@@ -379,7 +404,8 @@ class TestIsomorphismClasses:
         )
         assert expected > 0
         monkeypatch.setattr(finite_graph, "status_bounds_values", tight)
-        assert count_bound_violations(p) == (LABELED_CONNECTED[p - 1], expected)
+        rows = list(bound_violation_counts(p))
+        assert rows[-1] == (p, LABELED_CONNECTED[p - 1], expected)
 
 
 def reference_extremal_search(p, q):
@@ -449,6 +475,9 @@ class TestExtremalSearch:
             extremal_search(4, 7)
         with pytest.raises(GraphError):
             extremal_search(8, 7)
+        for p, q in [(True, 0), (False, 0), (1, False), (2, True), (3, 2.5), (3, "2")]:
+            with pytest.raises(GraphError):
+                extremal_search(p, q)
 
 
 class TestDot:
