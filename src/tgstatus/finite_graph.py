@@ -373,78 +373,137 @@ def enumerate_connected_graphs(p: int) -> Iterator[FiniteGraph]:
         yield FiniteGraph(names, _edges(names, adj))
 
 
-def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
-    """The coarsest equitable refinement of an ordered partition whose
-    cells are node bitmasks.
+def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+    """Refine an ordered partition, whose cells are node bitmasks, with a
+    queue of splitters; both lists are extended in place.
 
-    Each round splits every cell by the number of neighbours its nodes
-    have in each cell, packed into one int key (p.bit_length() bits per
-    cell, in cell order), and orders the parts by key, until a round
-    splits nothing.  The result depends on the graph and the input
-    partition only, so relabeling both relabels the result.
+    Each splitter in turn splits every cell by the number of neighbours
+    its nodes have in the splitter.  The parts replace the cell where it
+    stood, in increasing order of that number, and join the end of the
+    queue.  Refinement stops when the queue is empty or the partition is
+    discrete.  Nothing depends on node labels, so relabeling the graph,
+    the partition and the splitters relabels the result.  Given the
+    whole node set (or, after one cell of an equitable partition gave up
+    one node v, {v}), it returns the coarsest equitable refinement.
     """
-    shift = len(adj).bit_length()
-    while True:
-        split = []
-        for cell in cells:
+    p = len(adj)
+    for splitter in splitters:  # the loop also visits the parts appended below
+        if len(cells) == p:
+            break
+        k = 0
+        while k < len(cells):
+            cell = cells[k]
+            k += 1
             if not cell & (cell - 1):
-                split.append(cell)
                 continue
             parts: dict[int, int] = {}
             for v in _MEMBERS[cell]:
-                row = adj[v]
-                key = 0
-                for other in cells:
-                    key = key << shift | (row & other).bit_count()
-                parts[key] = parts.get(key, 0) | 1 << v
-            split += [parts[key] for key in sorted(parts)]
-        if len(split) == len(cells):
-            return split
-        cells = split
+                count = (adj[v] & splitter).bit_count()
+                parts[count] = parts.get(count, 0) | 1 << v
+            if len(parts) > 1:
+                split = [parts[count] for count in sorted(parts)]
+                cells[k - 1 : k] = split
+                splitters += split
+                k += len(split) - 1
+    return cells
+
+
+def _individualise(adj: Sequence[int], cells: list[int], k: int, node: int) -> list[int]:
+    """A child in the search tree: the node bitmask becomes a singleton
+    cell just before the rest of cell k, and the partition is refined
+    with it."""
+    return _refine(adj, cells[:k] + [node, cells[k] ^ node] + cells[k + 1 :], [node])
+
+
+def _leaf_word(adj: Sequence[int], cells: list[int]) -> int:
+    """The adjacency relabeled by a discrete partition, which gives node
+    cells[i] the label i, packed with the row of label i at bit p*i."""
+    p = len(adj)
+    bit = [0] * p
+    for label, cell in enumerate(cells):
+        bit[cell.bit_length() - 1] = 1 << label
+    word = 0
+    for cell in reversed(cells):
+        row = 0
+        for v in _MEMBERS[adj[cell.bit_length() - 1]]:
+            row |= bit[v]
+        word = word << p | row
+    return word
 
 
 def _canonical_form(adj: Sequence[int]) -> tuple[int, int]:
     """(canonical word, automorphism count) of a graph given by its
     adjacency bitmasks.
 
-    Individualisation-refinement: refine the unit partition, then branch
-    on every node of the first non-singleton cell, which becomes a
-    singleton cell just before the rest of its cell, and refine again,
-    until the partition is discrete.  A discrete partition gives node
-    cells[i] the label i, and its leaf word holds the relabeled row of
-    label i at bit p*i.  The tree is built from the graph alone, so
-    every labeling of a graph has the same least leaf word, and that
-    word encodes the graph: it is the canonical form.  Automorphisms
-    permute the leaves without fixed points, and two leaves with one word
-    differ by an automorphism, so exactly |Aut| leaves reach the least
-    word.  The tree is not pruned, so every leaf is visited.
+    A search tree of ordered partitions (McKay, "Practical graph
+    isomorphism", 1981): the root refines the unit partition, a child
+    individualises one node of the first non-singleton cell
+    (_individualise), and a discrete partition is a leaf, whose word is
+    _leaf_word.  The tree is built from the graph alone, so every
+    labeling has the same leaf words, and the least one encodes the
+    graph: it is the canonical form.
+
+    The one invariant: _refine splits cells in place and orders the
+    parts by a count.  So a node individualised at some level keeps its
+    position in every leaf below, and a leaf's partition fixes its path.
+    If two leaves have one word, the automorphism g taking the one to the
+    other therefore maps path onto path: g fixes the nodes of their
+    shared prefix, maps the child below it on the one path to the child
+    on the other, and maps the subtree of the first to that of the
+    second, word for word.
+
+    The search descends to a first leaf l1 by the least node of each
+    target cell, then goes back up that path, deepest level first.  At
+    each level it explores the other nodes of the target cell, skipping
+    one that shares an orbit with an explored one: every automorphism
+    found so far fixes the prefix, so the skipped subtree has the words
+    of an explored one.  It searches each explored subtree without
+    pruning, up to its first leaf with the word of l1; that leaf gives
+    an automorphism (leaf order to l1 order), whose cycles join the
+    orbits, and the rest of that subtree has the words of the first-path
+    one.  So the least word over the visited leaves is the least of the
+    whole tree.  A child whose subtree holds no leaf with l1's word is
+    not in the orbit of the first-path child; so each level ends with
+    that child's whole orbit under the automorphisms that fix the
+    prefix, and by orbit-stabiliser |Aut| is the product of these orbit
+    sizes (only the identity fixes a leaf).
     """
     p = len(adj)
-    best = -1
-    count = 0
-    stack = [_refine(adj, [(1 << p) - 1])]
-    while stack:
-        cells = stack.pop()
-        if len(cells) < p:
-            k = next(k for k, cell in enumerate(cells) if cell & (cell - 1))
-            head, cell, tail = cells[:k], cells[k], cells[k + 1 :]
-            for v in _MEMBERS[cell]:
-                stack.append(_refine(adj, head + [1 << v, cell ^ 1 << v] + tail))
-            continue
-        bit = [0] * p
-        for label, cell in enumerate(cells):
-            bit[cell.bit_length() - 1] = 1 << label
-        word = 0
-        for cell in reversed(cells):
-            row = 0
-            for v in _MEMBERS[adj[cell.bit_length() - 1]]:
-                row |= bit[v]
-            word = word << p | row
-        if word == best:
-            count += 1
-        elif best < 0 or word < best:
-            best, count = word, 1
-    return best, count
+    full = (1 << p) - 1
+    cells = _refine(adj, [full], [full])
+    path = []
+    while len(cells) < p:
+        k = next(k for k, cell in enumerate(cells) if cell & (cell - 1))
+        path.append((cells, k))
+        cells = _individualise(adj, cells, k, cells[k] & -cells[k])
+    first = [cell.bit_length() - 1 for cell in cells]
+    first_word = best = _leaf_word(adj, cells)
+    orbit = list(range(p))  # orbit[v]: a representative of v's orbit
+    automorphisms = 1
+    for cells, k in reversed(path):
+        members = _MEMBERS[cells[k]]
+        explored = [members[0]]
+        for v in members[1:]:
+            if orbit[v] in {orbit[u] for u in explored}:
+                continue
+            explored.append(v)
+            stack = [(cells, k, 1 << v)]
+            while stack:
+                child = _individualise(adj, *stack.pop())
+                if len(child) < p:
+                    j = next(j for j, cell in enumerate(child) if cell & (cell - 1))
+                    stack += [(child, j, 1 << u) for u in reversed(_MEMBERS[child[j]])]
+                    continue
+                word = _leaf_word(adj, child)
+                if word == first_word:
+                    for cell, image in zip(child, first):
+                        a, b = orbit[cell.bit_length() - 1], orbit[image]
+                        if a != b:
+                            orbit = [b if o == a else o for o in orbit]
+                    break
+                best = min(best, word)
+        automorphisms *= sum(orbit[u] == orbit[members[0]] for u in members)
+    return best, automorphisms
 
 
 def _rows(word: int, p: int) -> list[int]:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately independent of the package under test:
 plain-dict graph handling, an integer BFS, a union-find connectivity
-counter, a brute-force canonical form, and a seeded random document
-generator.  Acceptance tests compare package results against these, so
-nothing in this module may import from tgstatus.
+counter, a brute-force canonical form and automorphism counter, and a
+seeded random document generator.  Acceptance tests compare package
+results against these, so nothing in this module may import from
+tgstatus.
 """
 
 from __future__ import annotations
@@ -71,6 +72,16 @@ def oracle_canonical_word(p, edges):
     relabelings; bit i*p + j of a word is the pair (i, j), i < j."""
     return min(
         sum(1 << min(perm[u], perm[v]) * p + max(perm[u], perm[v]) for u, v in edges)
+        for perm in permutations(range(p))
+    )
+
+
+def oracle_automorphism_count(p, edges):
+    """Number of permutations of the nodes 0..p-1 that map the edge set
+    onto itself, found by trying all p! of them."""
+    edge_set = {frozenset(edge) for edge in edges}
+    return sum(
+        all(frozenset((perm[u], perm[v])) in edge_set for u, v in edges)
         for perm in permutations(range(p))
     )
 

@@ -1,5 +1,6 @@
 """Tests for the finite graph substrate, enumeration and extremal search."""
 
+import random
 from collections import defaultdict
 from itertools import combinations
 from math import factorial
@@ -27,7 +28,13 @@ from tgstatus.finite_graph import (
     status_bounds_values,
 )
 
-from helpers import oracle_bfs, oracle_canonical_word, oracle_connected_count, oracle_status
+from helpers import (
+    oracle_automorphism_count,
+    oracle_bfs,
+    oracle_canonical_word,
+    oracle_connected_count,
+    oracle_status,
+)
 
 # Labeled connected graphs on p = 1, 2, ... nodes (OEIS A001187) and
 # their isomorphism classes (OEIS A001349).
@@ -406,6 +413,86 @@ class TestIsomorphismClasses:
         monkeypatch.setattr(finite_graph, "status_bounds_values", tight)
         rows = list(bound_violation_counts(p))
         assert rows[-1] == (p, LABELED_CONNECTED[p - 1], expected)
+
+
+def complete_multipartite(*sizes):
+    """(p, edges) of the complete multipartite graph with these part sizes."""
+    part = [k for k, size in enumerate(sizes) for _ in range(size)]
+    p = len(part)
+    return p, [(i, j) for i in range(p) for j in range(i + 1, p) if part[i] != part[j]]
+
+
+def cycle(n):
+    return n, [(i, (i + 1) % n) for i in range(n)]
+
+
+def cube():
+    return 8, [(i, j) for i in range(8) for j in range(i + 1, 8) if (i ^ j).bit_count() == 1]
+
+
+def rook_3x3():
+    """K3 box K3: nodes 3a + b, adjacent when they share exactly one of a, b."""
+    return 9, [
+        (i, j) for i in range(9) for j in range(i + 1, 9) if (i // 3 == j // 3) != (i % 3 == j % 3)
+    ]
+
+
+# (name, (p, edges), |Aut|): known group orders.
+KNOWN_GROUPS = (
+    [(f"K{n}", complete_multipartite(*[1] * n), factorial(n)) for n in range(1, 10)]
+    + [(f"C{n}", cycle(n), 2 * n) for n in range(3, 10)]
+    + [(f"K1,{n - 1}", complete_multipartite(1, n - 1), factorial(n - 1)) for n in range(3, 10)]
+    + [
+        ("K3,3", complete_multipartite(3, 3), 72),
+        ("K4,4", complete_multipartite(4, 4), 1152),
+        ("Q3", cube(), 48),
+        ("K3xK3", rook_3x3(), 72),
+        ("K3,3,3", complete_multipartite(3, 3, 3), 1296),
+    ]
+)
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize(
+        "graph, automorphisms",
+        [case[1:] for case in KNOWN_GROUPS],
+        ids=[case[0] for case in KNOWN_GROUPS],
+    )
+    def test_known_group_orders_under_relabeling(self, graph, automorphisms):
+        p, edges = graph
+        _, _, adj = graph_of_edges(p, edges)
+        word, count = _canonical_form(adj)
+        assert count == automorphisms
+        rng = random.Random(p * 1000 + len(edges))
+        for _ in range(20):
+            perm = rng.sample(range(p), p)
+            _, _, relabeled = graph_of_edges(p, [(perm[u], perm[v]) for u, v in edges])
+            assert _canonical_form(relabeled) == (word, automorphisms)
+
+    def test_complete_graph_search_stays_small(self, monkeypatch):
+        # Orbit pruning explores one sibling per level of K9's first path;
+        # the unpruned tree has 9! leaves and about a million refinements.
+        calls = []
+        refine = finite_graph._refine
+
+        def counting(adj, cells, splitters):
+            calls.append(len(cells))
+            return refine(adj, cells, splitters)
+
+        monkeypatch.setattr(finite_graph, "_refine", counting)
+        _, _, adj = graph_of_edges(*complete_multipartite(*[1] * 9))
+        assert _canonical_form(adj)[1] == factorial(9)
+        assert len(calls) <= 500
+
+    def test_automorphism_counts_match_brute_force(self):
+        levels = list(_connected_classes(7))
+        classes = [(p, word) for p, level in enumerate(levels[:6], 1) for word in level]
+        assert len(classes) == sum(CONNECTED_CLASSES[:6]) == 143
+        classes += [(7, word) for word in random.Random(7).sample(sorted(levels[6]), 60)]
+        for p, word in classes:
+            adj = rows_of(word, p)
+            edges = [(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
+            assert _canonical_form(adj)[1] == oracle_automorphism_count(p, edges), (p, word)
 
 
 def reference_extremal_search(p, q):
