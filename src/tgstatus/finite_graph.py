@@ -259,21 +259,16 @@ def _check_enumeration_size(p: object, what: str, cap: int = MAX_ENUMERATION_NOD
 
 # Small graphs live in the bitmask domain.  Node i is bit i, and a graph
 # is a sequence of adjacency bitmasks, item i the neighbours of i.  The
-# labeled scan packs a graph on p <= 7 nodes into one adjacency word
-# whose byte i is the bitmask of i's neighbours; word.to_bytes(p,
-# "little") indexes it by node.  Each pair (i, j), i < j, has its own
-# word from _pair_words, in lexicographic order, and a graph's word is
-# the OR of the words of its edges.  _MEMBERS lists the nodes of every
-# node bitmask.
+# labeled scan (_labeled_graphs) packs a graph on p <= 7 nodes into one
+# adjacency word whose byte i is the bitmask of i's neighbours;
+# word.to_bytes(p, "little") indexes it by node.  Each pair (i, j),
+# i < j, has its own word, and a graph's word is the OR of the words of
+# its edges.  _MEMBERS lists the nodes of every node bitmask.
 
 _MEMBERS = [
     tuple(v for v in range(MAX_VERIFY_NODES) if mask >> v & 1)
     for mask in range(1 << MAX_VERIFY_NODES)
 ]
-
-
-def _pair_words(p: int) -> list[int]:
-    return [1 << (8 * i + j) | 1 << (8 * j + i) for i in range(p) for j in range(i + 1, p)]
 
 
 def _edges(names: tuple[str, ...], adj: bytes) -> list[tuple[str, str]]:
@@ -329,35 +324,12 @@ def _status_window(p: int, d: int) -> tuple[int, int]:
     return 2 * (p - 1) - d, d + (p - d) * (p - d + 1) // 2 - 1
 
 
-def _connected_statuses(
-    p: int, edge_counts: Iterable[int], targets: tuple[int, ...] = ()
-) -> Iterator[tuple[int, bytes, list[int | None]]]:
-    """(q, adjacency, statuses) of every labeled connected graph on p
-    nodes with q edges, for each q of edge_counts in turn; within one q,
-    in lexicographic order of the edge combinations.
-
-    With no targets every status is computed.  With targets, only the
-    nodes whose degree window admits a target get a status (None
-    elsewhere), and a graph with no such node is skipped: it cannot
-    hold a node whose status is a target.
-    """
-    words = _pair_words(p)
-    # admits[byte]: a node with this adjacency byte may have a target status.
-    admits = [
-        any(lo <= t <= hi for t in targets)
-        for lo, hi in (_status_window(p, byte.bit_count()) for byte in range(1 << p))
-    ]
-    for q in edge_counts:
-        for word in map(sum, combinations(words, q)):  # pair words share no bits
-            adj = word.to_bytes(p, "little")
-            sources = None
-            if targets:
-                sources = [v for v, byte in enumerate(adj) if admits[byte]]
-                if not sources:
-                    continue
-            statuses = _statuses(adj, sources)
-            if statuses is not None:
-                yield q, adj, statuses
+def _labeled_graphs(p: int, q: int) -> Iterator[bytes]:
+    """The adjacency of every labeled graph on p nodes with q edges, in
+    lexicographic order of the edge combinations."""
+    words = [1 << (8 * i + j) | 1 << (8 * j + i) for i in range(p) for j in range(i + 1, p)]
+    for word in map(sum, combinations(words, q)):  # pair words share no bits
+        yield word.to_bytes(p, "little")
 
 
 def enumerate_connected_graphs(p: int) -> Iterator[FiniteGraph]:
@@ -368,9 +340,12 @@ def enumerate_connected_graphs(p: int) -> Iterator[FiniteGraph]:
     """
     _check_enumeration_size(p, "enumeration")
     names = _node_names(p)
+    full = (1 << p) - 1
     # Fewer than p - 1 edges cannot connect p nodes.
-    for _, adj, _ in _connected_statuses(p, range(p - 1, p * (p - 1) // 2 + 1)):
-        yield FiniteGraph(names, _edges(names, adj))
+    for q in range(p - 1, p * (p - 1) // 2 + 1):
+        for adj in _labeled_graphs(p, q):
+            if _spans(adj, full):
+                yield FiniteGraph(names, _edges(names, adj))
 
 
 def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
@@ -607,7 +582,16 @@ def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
     lower, upper = status_bounds_values(p, q)
     lower_witness: Witness | None = None
     upper_witness: Witness | None = None
-    for _, adj, statuses in _connected_statuses(p, (q,), (lower, upper)):
+    # admits[byte]: a node with this adjacency byte may be a witness.
+    admits = [
+        lo <= lower <= hi or lo <= upper <= hi
+        for lo, hi in (_status_window(p, byte.bit_count()) for byte in range(1 << p))
+    ]
+    for adj in _labeled_graphs(p, q):
+        sources = [v for v, byte in enumerate(adj) if admits[byte]]
+        statuses = _statuses(adj, sources) if sources else None
+        if statuses is None:
+            continue
         found_lower = lower_witness is None and lower in statuses
         found_upper = upper_witness is None and upper in statuses
         if found_lower or found_upper:

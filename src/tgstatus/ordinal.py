@@ -168,12 +168,15 @@ def parse_ordinal(text: str) -> Ordinal:
         match = _TERM_RE.match(part)
         if match is None:
             raise OrdinalParseError(f"malformed ordinal term {part!r}")
-        if match.group("int") is not None:
-            terms.append((0, int(match.group("int"))))
-        else:
-            exp = int(match.group("exp")) if match.group("exp") else 1
-            coeff = int(match.group("coeff")) if match.group("coeff") else 1
-            terms.append((exp, coeff))
+        try:
+            if match.group("int") is not None:
+                terms.append((0, int(match.group("int"))))
+            else:
+                exp = int(match.group("exp")) if match.group("exp") else 1
+                coeff = int(match.group("coeff")) if match.group("coeff") else 1
+                terms.append((exp, coeff))
+        except ValueError as exc:  # a number too long to convert
+            raise OrdinalParseError(f"ordinal term of {len(part)} characters: {exc}") from None
     for (prev, _), (nxt, _) in zip(terms, terms[1:]):
         if nxt >= prev:
             raise OrdinalParseError(

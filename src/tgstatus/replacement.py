@@ -157,15 +157,26 @@ def iter_simple_paths(
     ValidationFailed.
     """
     result = build_replacement(graph, walk_based=True)
+    neighbors = result.graph.neighbors
 
-    def extend(trail: list[str]) -> Iterator[AbstractPath]:
-        if len(trail) >= 2 or include_trivial:
-            yield AbstractPath(tuple(result.origin[node][1] for node in trail))
-        for neighbor in result.graph.neighbors(trail[-1]):
-            if neighbor not in trail:
-                trail.append(neighbor)
-                yield from extend(trail)
-                trail.pop()
+    def path(trail: list[str]) -> AbstractPath:
+        return AbstractPath(tuple(result.origin[node][1] for node in trail))
 
+    # A depth-first walk in pre-order, kept iterative so that a long path
+    # does not nest one frame per element: branches[i] holds the
+    # neighbours of trail[i] still to try.
     for start in result.graph.nodes:
-        yield from extend([start])
+        if include_trivial:
+            yield path([start])
+        trail = [start]
+        branches = [iter(neighbors(start))]
+        while branches:
+            for neighbor in branches[-1]:
+                if neighbor not in trail:
+                    trail.append(neighbor)
+                    yield path(trail)
+                    branches.append(iter(neighbors(neighbor)))
+                    break
+            else:
+                branches.pop()
+                trail.pop()

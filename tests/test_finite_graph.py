@@ -18,7 +18,7 @@ from tgstatus.finite_graph import (
     MAX_VERIFY_NODES,
     _canonical_form,
     _connected_classes,
-    _connected_statuses,
+    _labeled_graphs,
     _least_degree_last,
     _status_window,
     _statuses,
@@ -232,6 +232,17 @@ class TestEnumeration:
             assert key not in seen
             seen.add(key)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_order_by_edge_count_then_lexicographic(self, p):
+        names = [f"v{i}" for i in range(1, p + 1)]
+        expected = [
+            list(edges)
+            for q in range(p - 1, p * (p - 1) // 2 + 1)
+            for edges in combinations(combinations(names, 2), q)
+            if len(oracle_bfs(names, edges, names[0])) == p
+        ]
+        assert [list(g.edges) for g in enumerate_connected_graphs(p)] == expected
+
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphError):
             list(enumerate_connected_graphs(0))
@@ -274,14 +285,11 @@ class TestBitmaskKernel:
     def test_edge_masks_in_order_with_their_adjacency(self, p):
         pairs = p * (p - 1) // 2
         for q in range(pairs + 1):
-            expected = []
-            for combo in combinations(range(pairs), q):
-                nodes, edges, adj = graph_of_mask(p, sum(1 << k for k in combo))
-                statuses = [oracle_status(nodes, edges, v) for v in nodes]
-                if None not in statuses:
-                    expected.append((q, adj, statuses))
-            seen = [(q, list(adj), statuses) for q, adj, statuses in _connected_statuses(p, (q,))]
-            assert seen == expected, (p, q)
+            expected = [
+                graph_of_mask(p, sum(1 << k for k in combo))[2]
+                for combo in combinations(range(pairs), q)
+            ]
+            assert [list(adj) for adj in _labeled_graphs(p, q)] == expected, (p, q)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_statuses_of_listed_sources_on_every_edge_mask(self, p):
@@ -299,7 +307,7 @@ class TestBitmaskKernel:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_status_window_is_sound_and_tight(self, p):
         reached = {d: set() for d in range(p)}
-        for _, adj, statuses in _connected_statuses(p, range(p - 1, p * (p - 1) // 2 + 1)):
+        for _, adj, statuses in all_labeled(p):
             assert None not in statuses, (p, list(adj))
             for v, status in enumerate(statuses):
                 d = adj[v].bit_count()
@@ -324,7 +332,11 @@ class TestBitmaskKernel:
 
 def all_labeled(p):
     """(q, adjacency, statuses) of every labeled connected graph on p nodes."""
-    return _connected_statuses(p, range(p - 1, p * (p - 1) // 2 + 1))
+    for q in range(p - 1, p * (p - 1) // 2 + 1):
+        for adj in _labeled_graphs(p, q):
+            statuses = _statuses(adj)
+            if statuses is not None:
+                yield q, adj, statuses
 
 
 def labeled_classes(p):

@@ -85,6 +85,11 @@ class TestFormat:
         with pytest.raises(OrdinalParseError):
             parse_ordinal(text)
 
+    @pytest.mark.parametrize("text", ["1" * 5000, "w^" + "2" * 5000, "w*" + "3" * 5000])
+    def test_parse_rejects_numbers_too_long_to_convert(self, text):
+        with pytest.raises(OrdinalParseError, match=f"^ordinal term of {len(text)} characters: "):
+            parse_ordinal(text)
+
     def test_parse_rejects_non_text(self):
         with pytest.raises(OrdinalParseError) as excinfo:
             parse_ordinal(3)

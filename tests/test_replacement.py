@@ -1,5 +1,6 @@
 """Tests for the replacement 0-graph and transfinite path lengths."""
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -24,6 +25,52 @@ SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
 
 def load(name):
     return parse_document((SAMPLES / f"{name}.json").read_text())
+
+
+def chain_document(sections):
+    """A rank-1 chain: sections S1..Sn, and mu-node Xi joins Si to Si+1."""
+    return {
+        "rank": 1,
+        "sections": [
+            {
+                "id": f"S{i}",
+                "internal_nodes": [{"id": f"y{i}", "rank": 0, "nonsingleton": True}],
+                "representative": f"y{i}",
+            }
+            for i in range(1, sections + 1)
+        ],
+        "mu_nodes": [
+            {
+                "id": f"X{i}",
+                "tips": [
+                    {"id": f"a{i}", "section": f"S{i}"},
+                    {"id": f"b{i}", "section": f"S{i + 1}"},
+                ],
+            }
+            for i in range(1, sections)
+        ],
+        "nondisconnectable_pairs": [],
+        "include_singletons": [],
+    }
+
+
+def recursive_simple_paths(graph, include_trivial):
+    """The element tuples of a recursive pre-order walk over the
+    replacement's nodes, each trail extended by its last node's
+    neighbours in order."""
+    result = build_replacement(graph, walk_based=True)
+    paths = []
+
+    def extend(trail):
+        if len(trail) >= 2 or include_trivial:
+            paths.append(tuple(result.origin[node][1] for node in trail))
+        for neighbor in result.graph.neighbors(trail[-1]):
+            if neighbor not in trail:
+                extend(trail + [neighbor])
+
+    for start in result.graph.nodes:
+        extend([start])
+    return paths
 
 
 def length_relation_holds(graph, result, path):
@@ -206,6 +253,15 @@ class TestTranslate:
             translate_path(result, AbstractPath(("S1", "X2")))
 
 
+def simple_path_documents():
+    """The sample documents and 120 small random ones."""
+    docs = [
+        json.loads((SAMPLES / f"{name}.json").read_text())
+        for name in ("g1", "g2", "g3", "g1_with_singletons", "g3_nondisconnectable_violation")
+    ]
+    return docs + [random_document(random.Random(seed), max_k=5, max_m=5) for seed in range(120)]
+
+
 class TestLengthRelation:
     @pytest.mark.parametrize("name", ["g1", "g2", "g3", "g1_with_singletons"])
     def test_holds_for_all_simple_paths_of_samples(self, name):
@@ -226,16 +282,24 @@ class TestLengthRelation:
         assert length_relation_holds(g2, result2, AbstractPath(("S1", "X1")))
 
     def test_simple_paths_match_oracle(self):
-        docs = [
-            json.loads((SAMPLES / f"{name}.json").read_text())
-            for name in ("g1", "g2", "g3", "g1_with_singletons", "g3_nondisconnectable_violation")
-        ]
-        docs += [random_document(random.Random(seed), max_k=5, max_m=5) for seed in range(120)]
-        for doc in docs:
+        for doc in simple_path_documents():
             g = parse_document(document_text(doc))
             paths = [path.elements for path in iter_simple_paths(g, include_trivial=True)]
             assert len(paths) == len(set(paths))
             assert set(paths) == oracle_simple_paths(doc)
+
+    @pytest.mark.parametrize("include_trivial", [False, True])
+    def test_simple_paths_in_recursive_pre_order(self, include_trivial):
+        for doc in simple_path_documents():
+            g = parse_document(document_text(doc))
+            paths = iter_simple_paths(g, include_trivial=include_trivial)
+            assert [path.elements for path in paths] == recursive_simple_paths(g, include_trivial)
+
+    def test_simple_paths_longer_than_the_recursion_limit(self):
+        # 700 sections and 699 mu-nodes: the path from S1 has 1,399 elements.
+        g = parse_document(document_text(chain_document(700)))
+        first = list(itertools.islice(iter_simple_paths(g), 1500))
+        assert max(len(path.elements) for path in first) > 1000
 
     def test_trivial_paths_when_requested(self):
         g = load("g2")
