@@ -250,7 +250,7 @@ def _witness_obj(witness: Witness) -> dict[str, object]:
 
 
 def _witness_line(label: str, witness: Witness) -> str:
-    edges = " ".join(f"{u}-{v}" for u, v in witness.graph.edges)
+    edges = " ".join(f"{u}-{v}" for u, v in witness.graph.edges) or "(none)"
     return f"{label}: {witness.status} at {witness.node} in graph {edges}"
 
 

@@ -257,6 +257,17 @@ def _is_id_pair(value: Any) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value)
 
 
+def _check_id(identifier: str, context: str, noun: str = "id") -> None:
+    """Text output separates fields with spaces and records with newlines,
+    so an id may hold neither.  str.isprintable rejects every whitespace
+    character but the ASCII space, and every control character."""
+    if " " in identifier or not identifier.isprintable():
+        raise DocumentError(
+            f"{context}: {noun} {identifier!r} must not hold whitespace "
+            "or non-printable characters"
+        )
+
+
 def _records(
     entries: list[Any], keys: set[str], ids: set[str],
     outer: str, inner: str, noun: str = "entries",
@@ -270,6 +281,7 @@ def _records(
             raise DocumentError(f"{outer}: {noun} must be objects")
         _check_keys(raw, keys, inner)
         identifier = _get_str(raw, "id", inner)
+        _check_id(identifier, inner)
         if identifier in ids:
             raise DocumentError(f"{outer}: duplicate identifier {identifier!r}")
         ids.add(identifier)
@@ -332,6 +344,7 @@ def _finite_from_obj(obj: dict[str, Any]) -> FiniteGraph:
     for node in nodes:
         if not isinstance(node, str) or not node:
             raise DocumentError(f"document: node id {node!r} must be a non-empty string")
+        _check_id(node, "document", "node id")
     edges = []
     for entry in _get_list(obj, "edges", "document"):
         if not _is_id_pair(entry):

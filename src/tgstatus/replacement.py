@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .finite_graph import FiniteGraph
+from .finite_graph import FiniteGraph, GraphError
 from .model import TransfiniteGraph, ValidationFailed, validate
 from .ordinal import Ordinal, omega_term
 
@@ -54,12 +54,18 @@ class ReplacementResult:
 
     ``zero_node`` maps each mu-node, section and included singleton to
     its 0-node; ``origin`` maps each 0-node back to ``(kind, element)``,
-    with kind ``"mu-node"``, ``"section"`` or ``"singleton"``.
+    with kind ``"mu-node"``, ``"section"`` or ``"singleton"``.  The graph
+    must be connected, else GraphError is raised, so every distance and
+    status read from a result is defined.
     """
 
     graph: FiniteGraph
     zero_node: dict[str, str]
     origin: dict[str, tuple[str, str]]
+
+    def __post_init__(self) -> None:
+        if not self.graph.is_connected():
+            raise GraphError("the replacement graph is not connected")
 
 
 def build_replacement(

@@ -117,12 +117,7 @@ def mu_distance(
     """
     node_a = _zero_node(graph, result, a)
     node_b = _zero_node(graph, result, b)
-    hops = result.graph.hop_distance(node_a, node_b)
-    if hops is None:
-        raise StatusError(
-            f"no distance between {a!r} and {b!r}: the replacement graph is not connected"
-        )
-    return omega_term(graph.rank, hops)
+    return omega_term(graph.rank, result.graph.hop_distance(node_a, node_b))
 
 
 def geodesic(
@@ -141,13 +136,8 @@ def geodesic(
             "no geodesic between distinct 0-nodes exists"
         )
     dist = result.graph.bfs_distances(node_b, until=node_a)
-    hops = dist[node_a]
-    if hops is None:
-        raise StatusError(
-            f"no path between {a!r} and {b!r}: the replacement graph is not connected"
-        )
     sequence = [node_a]
-    for remaining in range(hops - 1, -1, -1):
+    for remaining in range(dist[node_a] - 1, -1, -1):
         sequence.append(
             min(
                 neighbor
@@ -167,22 +157,14 @@ def mu_status(graph: TransfiniteGraph, result: ReplacementResult, x: str) -> Ord
             f"status is defined only for nonsingleton nodes; {x!r} is a singleton mu-node"
         )
     source = _zero_node(graph, result, x)
-    dist = result.graph.bfs_distances(source)
     total = Ordinal()
-    for target in result.graph.nodes:
-        hops = dist[target]
-        if hops is None:
-            raise StatusError(
-                f"status of {x!r} is undefined: the replacement graph is not connected"
-            )
+    for hops in result.graph.bfs_distances(source).values():
         total = total + omega_term(graph.rank, hops)
     return total
 
 
 def mu_status_bounds(graph: TransfiniteGraph, result: ReplacementResult) -> BoundsResult:
     """Status bounds scaled by w^mu, from the replacement graph's p and q."""
-    if not result.graph.is_connected():
-        raise StatusError("bounds are undefined: the replacement graph is not connected")
     p, q = result.graph.p, result.graph.q
     lower, upper = status_bounds_values(p, q)
     return BoundsResult(

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from tgstatus import finite_graph
 from tgstatus.cli import main
 from tgstatus.finite_graph import MAX_VERIFY_NODES
 
@@ -31,6 +32,12 @@ def sample(name):
 
 def golden(name):
     return (GOLDEN / name).read_text()
+
+
+def tight_upper(p, q):
+    """The EJS bounds with the upper one lowered by one, so that every node
+    at the upper bound is reported as a violation."""
+    return p - 1, (p - 1) * (p + 2) // 2 - q - 1
 
 
 def assert_no_nodes_input_error(command, tmp_path):
@@ -303,6 +310,17 @@ class TestEjsCheck:
         assert result.exit_code == 0
         assert result.output.splitlines()[-1] == "checked 4 nodes, 0 violations"
 
+    def test_violations_exit_1(self, monkeypatch):
+        monkeypatch.setattr(finite_graph, "status_bounds_values", tight_upper)
+        result = run("ejs-check", sample("path4"))
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "p: 4\nq: 3\nlower: 3\nupper: 5\n"
+            "violation: node v1 status 6 outside [3, 5]\n"
+            "violation: node v4 status 6 outside [3, 5]\n"
+            "checked 4 nodes, 2 violations\n"
+        )
+
     def test_disconnected_exit_1(self, tmp_path):
         doc = tmp_path / "disc.json"
         doc.write_text('{"rank": 0, "nodes": ["a", "b"], "edges": []}')
@@ -332,6 +350,22 @@ class TestVerifyEjs:
             assert result.stderr == (
                 f"error: --max-p must be between 1 and {MAX_VERIFY_NODES}, got {max_p}\n"
             )
+
+    def test_violations_exit_1(self, monkeypatch):
+        # Violations count labeled nodes at the upper bound: the node of
+        # K1, both nodes of K2, the ends of the three labeled P3 and the
+        # nodes of K3; 52 for p = 4, as a brute-force count over all
+        # 64 labeled graphs gives.
+        monkeypatch.setattr(finite_graph, "status_bounds_values", tight_upper)
+        result = run("verify-ejs", "--max-p", 4)
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "p=1: 1 graph, 1 violation\n"
+            "p=2: 1 graph, 2 violations\n"
+            "p=3: 4 graphs, 9 violations\n"
+            "p=4: 38 graphs, 52 violations\n"
+            "checked 44 graphs, 64 violations\n"
+        )
 
     def test_max8_golden_matches_a001187(self):
         # The p = 8 run takes seconds, so the golden is checked against
@@ -372,12 +406,60 @@ class TestExtremal:
             ("v1", "v2"), ("v1", "v3"), ("v1", "v4")
         ]
 
+    def test_edgeless_witness(self):
+        result = run("extremal", "--p", 1, "--q", 0)
+        assert result.exit_code == 0
+        assert result.output == (
+            "p: 1\nq: 0\n"
+            "lower: 0 at v1 in graph (none)\n"
+            "upper: 0 at v1 in graph (none)\n"
+        )
+
     def test_infeasible(self):
         assert run("extremal", "--p", 4, "--q", 2).exit_code == 2
 
     def test_unknown_flag_and_command(self):
         assert run("extremal", "--p", 4).exit_code == 2
         assert run("bogus").exit_code == 2
+
+
+# Where each kind of declared id sits in a sample, and the context its
+# error names.
+ID_FIELDS = {
+    "node": ("path4", ("nodes", 0), "document: node id"),
+    "section": ("g3", ("sections", 0, "id"), "section: id"),
+    "internal node": ("g3", ("sections", 0, "internal_nodes", 0, "id"), "section S1: id"),
+    "mu-node": ("g3", ("mu_nodes", 0, "id"), "mu-node: id"),
+    "tip": ("g3", ("mu_nodes", 0, "tips", 0, "id"), "mu-node X1: id"),
+}
+
+
+@pytest.mark.parametrize("char", ["\n", "\t", " ", "\x00", "\u2028"])
+@pytest.mark.parametrize("kind", list(ID_FIELDS))
+def test_id_with_whitespace_or_nonprintable_exit_2(tmp_path, kind, char):
+    # Text output separates fields with spaces and records with newlines,
+    # so such an id could forge a line: "X1\nupper: w*999" made `status`
+    # print "upper: w*999 mu-node w*7".  The id holds no other such
+    # character, so each one is rejected on its own.
+    name, path, context = ID_FIELDS[kind]
+    doc = json.loads(sample(name).read_text())
+    container = doc
+    for key in path[:-1]:
+        container = container[key]
+    ident = container[path[-1]] = f"{container[path[-1]]}{char}upper:999"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    commands = ["bounds", "ejs-check"] if name == "path4" else [
+        "validate", "replace", "status", "bounds"
+    ]
+    for command in commands:
+        result = run(command, bad)
+        assert result.exit_code == 2, command
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {bad}: {context} {ident!r} must not hold whitespace "
+            "or non-printable characters\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["validate", "status", "bounds", "ejs-check", "replace"])

@@ -9,7 +9,7 @@ import pytest
 from tgstatus.finite_graph import FiniteGraph, GraphError
 from tgstatus.model import ValidationFailed, parse_document
 from tgstatus.ordinal import ZERO, omega_term, parse_ordinal
-from tgstatus.replacement import AbstractPath, build_replacement
+from tgstatus.replacement import AbstractPath, ReplacementResult, build_replacement
 from tgstatus.status import (
     KIND_MU_NODE,
     KIND_NODE,
@@ -229,6 +229,29 @@ class TestStatus:
         assert (bounds.p, bounds.q) == (5, 4)
         assert bounds.lower == parse_ordinal("w*4")
         assert bounds.upper == parse_ordinal("w*10")
+
+
+class TestConnectedReplacement:
+    def test_hand_built_result_must_be_connected(self):
+        g, r = loaded("g1_with_singletons")
+        # The same maps over the 0-graph without the branch to W1.
+        torn = FiniteGraph(r.graph.nodes, [e for e in r.graph.edges if "W1" not in e])
+        with pytest.raises(GraphError, match="^the replacement graph is not connected$"):
+            ReplacementResult(torn, r.zero_node, r.origin)
+
+    def test_rebuilt_result_answers_as_built(self):
+        g, r = loaded("g1_with_singletons")
+        rebuilt = ReplacementResult(r.graph, r.zero_node, r.origin)
+        nodes = ["X1", "X2", "W1", "y1", "z1", "y2"]
+        for a in nodes:
+            for b in nodes:
+                distance = mu_distance(g, rebuilt, a, b)
+                assert distance == mu_distance(g, r, a, b)
+                if distance != ZERO:
+                    assert geodesic(g, rebuilt, a, b) == geodesic(g, r, a, b)
+            if a != "W1":
+                assert mu_status(g, rebuilt, a) == mu_status(g, r, a)
+        assert mu_status_bounds(g, rebuilt) == mu_status_bounds(g, r)
 
 
 class TestReport:
