@@ -47,10 +47,11 @@ class FiniteGraph:
 
     Nodes keep declaration order; edges are stored as sorted id pairs in
     insertion order.  Self-loops, duplicate edges and undeclared
-    endpoints are rejected at construction.
+    endpoints are rejected at construction.  The graph is immutable, so
+    ``is_connected`` keeps its first answer.
     """
 
-    __slots__ = ("_nodes", "_edges", "_edge_set", "_adj")
+    __slots__ = ("_nodes", "_edges", "_edge_set", "_adj", "_connected")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         node_list = list(nodes)
@@ -79,6 +80,7 @@ class FiniteGraph:
         self._edges = tuple(edge_list)
         self._edge_set = frozenset(edge_set)
         self._adj = {node: tuple(nbrs) for node, nbrs in adj.items()}
+        self._connected: bool | None = None
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -113,10 +115,11 @@ class FiniteGraph:
 
         Empty and single-node graphs count as connected.
         """
-        if len(self._nodes) <= 1:
-            return True
-        dist = self.bfs_distances(self._nodes[0])
-        return all(d is not None for d in dist.values())
+        if self._connected is None:
+            self._connected = len(self._nodes) <= 1 or all(
+                d is not None for d in self.bfs_distances(self._nodes[0]).values()
+            )
+        return self._connected
 
     def bfs_distances(self, source: str, *, until: str | None = None) -> dict[str, int | None]:
         """Hop distances from source; unreachable nodes map to None.

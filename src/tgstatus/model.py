@@ -563,10 +563,11 @@ def validate(graph: TransfiniteGraph, walk_based: bool = False) -> ValidationRep
 
     if not unresolved:
         zero_graph, _, origin = graph._zero_graph
-        order = sorted(zero_graph.nodes, key=lambda node: origin[node][0] != "section")
-        dist = zero_graph.bfs_distances(order[0]) if order else {}
-        unreached = [origin[node][1] for node in order if dist[node] is None]
-        if unreached:
+        if not zero_graph.is_connected():
+            # A second BFS, from the first section, names what it misses.
+            order = sorted(zero_graph.nodes, key=lambda node: origin[node][0] != "section")
+            dist = zero_graph.bfs_distances(order[0])
+            unreached = [origin[node][1] for node in order if dist[node] is None]
             violations.append(
                 Violation(
                     "connectivity",

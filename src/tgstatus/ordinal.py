@@ -5,6 +5,11 @@ decreasing natural exponents and positive integer coefficients.  These
 values carry transfinite path lengths, distances and statuses.  The text
 grammar is ASCII-only ("w" stands for omega) so values survive JSON and
 command-line round trips.
+
+Only outside input is validated: the public ``Ordinal(terms)``
+constructor and ``parse_ordinal`` check the normal form.  The results of
+``+``, ``scale`` and ``omega_term`` are canonical by construction and
+are built without re-checking.
 """
 
 from __future__ import annotations
@@ -53,6 +58,13 @@ class Ordinal:
             prev_exp = exp
         self._terms = terms
 
+    @classmethod
+    def _of(cls, terms: tuple[tuple[int, int], ...]) -> "Ordinal":
+        """An Ordinal over terms already in Cantor normal form, unchecked."""
+        ordinal = object.__new__(cls)
+        ordinal._terms = terms
+        return ordinal
+
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
         return self._terms
@@ -85,18 +97,21 @@ class Ordinal:
     def __add__(self, other: "Ordinal") -> "Ordinal":
         if not isinstance(other, Ordinal):
             return NotImplemented
-        if not other._terms:
+        right = other._terms
+        if not right:
             return self
-        if not self._terms:
-            return other
-        lead = other._terms[0][0]
-        kept = [t for t in self._terms if t[0] > lead]
-        # A term of self at the leading exponent of other merges by
-        # coefficient addition; everything below it is absorbed.
-        if len(kept) < len(self._terms) and self._terms[len(kept)][0] == lead:
-            merged = (lead, self._terms[len(kept)][1] + other._terms[0][1])
-            return Ordinal((*kept, merged, *other._terms[1:]))
-        return Ordinal((*kept, *other._terms))
+        left = self._terms
+        lead = right[0][0]
+        # One pass from the low end of self: its terms below the leading
+        # exponent of other are absorbed, a term at that exponent merges
+        # by coefficient addition, and the rest is kept.
+        k = len(left)
+        while k and left[k - 1][0] < lead:
+            k -= 1
+        if k and left[k - 1][0] == lead:
+            k -= 1
+            return Ordinal._of(left[:k] + ((lead, left[k][1] + right[0][1]),) + right[1:])
+        return Ordinal._of(left[:k] + right)
 
     def scale(self, k: int) -> "Ordinal":
         """Right-multiply by a natural number.
@@ -109,7 +124,7 @@ class Ordinal:
         if k == 0 or not self._terms:
             return ZERO
         (exp, coeff), rest = self._terms[0], self._terms[1:]
-        return Ordinal(((exp, coeff * k), *rest))
+        return Ordinal._of(((exp, coeff * k), *rest))
 
     def __str__(self) -> str:
         return format_ordinal(self)
@@ -129,7 +144,7 @@ def omega_term(mu: int, n: int) -> Ordinal:
         raise ValueError(f"coefficient must be a natural number, got {n!r}")
     if n == 0:
         return ZERO
-    return Ordinal(((mu, n),))
+    return Ordinal._of(((mu, n),))
 
 
 def _format_term(exp: int, coeff: int) -> str:

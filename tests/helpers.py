@@ -2,10 +2,10 @@
 
 Everything here is deliberately independent of the package under test:
 plain-dict graph handling, an integer BFS, a union-find connectivity
-counter, a brute-force canonical form and automorphism counter, and a
-seeded random document generator.  Acceptance tests compare package
-results against these, so nothing in this module may import from
-tgstatus.
+counter, a brute-force canonical form and automorphism counter, ordinal
+sums by term absorption, and a seeded random document generator.
+Acceptance tests compare package results against these, so nothing in
+this module may import from tgstatus.
 """
 
 from __future__ import annotations
@@ -135,6 +135,29 @@ def oracle_ordinal_text(mu, n):
         return str(n)
     base = "w" if mu == 1 else f"w^{mu}"
     return base if n == 1 else f"{base}*{n}"
+
+
+def oracle_ordinal_sum(summands):
+    """Cantor normal form terms of the ordinal sum of summands, each a
+    sequence of (exponent, coefficient) terms in normal form.
+
+    The summands are spread into single terms w^e * c.  A term is
+    absorbed when a later one has a larger exponent; the survivors then
+    come in non-increasing exponent order, and equal exponents merge.
+    """
+    singles = [tuple(term) for terms in summands for term in terms]
+    survivors = [
+        (exp, coeff)
+        for i, (exp, coeff) in enumerate(singles)
+        if all(later <= exp for later, _ in singles[i + 1:])
+    ]
+    merged = []
+    for exp, coeff in survivors:
+        if merged and merged[-1][0] == exp:
+            merged[-1] = (exp, merged[-1][1] + coeff)
+        else:
+            merged.append((exp, coeff))
+    return tuple(merged)
 
 
 def random_document(rng: random.Random, *, max_mu=3, max_k=8, max_m=8, small=False):

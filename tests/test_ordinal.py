@@ -1,5 +1,8 @@
 """Property and example tests for the ordinal kernel."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +14,8 @@ from tgstatus.ordinal import (
     omega_term,
     parse_ordinal,
 )
+
+from helpers import oracle_ordinal_sum, oracle_ordinal_text
 
 
 @st.composite
@@ -44,6 +49,26 @@ class TestConstruction:
         for terms in ([(1, True)], [(True, 1)], [(2, 1.0)]):
             with pytest.raises(ValueError, match="is not a pair of integers"):
                 Ordinal(terms)
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            (((1, 0),), "term (1, 0) needs exponent >= 0 and coefficient >= 1"),
+            (((2, 0),), "term (2, 0) needs exponent >= 0 and coefficient >= 1"),
+            (((0, -3),), "term (0, -3) needs exponent >= 0 and coefficient >= 1"),
+            (((-1, 1),), "term (-1, 1) needs exponent >= 0 and coefficient >= 1"),
+            (((3, 1), (0, 0)), "term (0, 0) needs exponent >= 0 and coefficient >= 1"),
+            (((1, 1), (1, 2)), "exponents must be strictly decreasing"),
+            (((1, 1), (2, 1)), "exponents must be strictly decreasing"),
+            ([(1, True)], "term (1, True) is not a pair of integers"),
+            ([(True, 1)], "term (True, 1) is not a pair of integers"),
+            ([(2, 1.0)], "term (2, 1.0) is not a pair of integers"),
+            ([("1", 1)], "term ('1', 1) is not a pair of integers"),
+        ],
+    )
+    def test_rejection_messages(self, terms, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Ordinal(terms)
 
     def test_omega_term(self):
         assert omega_term(0, 3).terms == ((0, 3),)
@@ -158,6 +183,64 @@ class TestArithmetic:
         for _ in range(n):
             total = total + omega_term(mu, 1)
         assert total == omega_term(mu, n)
+
+
+def assert_canonical(result):
+    """result is what the validating constructor makes of its own terms."""
+    assert type(result) is Ordinal
+    assert type(result.terms) is tuple
+    for term in result.terms:
+        assert type(term) is tuple and len(term) == 2
+        assert all(type(value) is int for value in term)
+    assert Ordinal(result.terms) == result
+
+
+class TestBuiltResults:
+    """Sums, scalings and w^mu*n terms are built without validation, so
+    each must already be in Cantor normal form."""
+
+    @given(ordinals(), ordinals())
+    def test_sum_is_canonical(self, a, b):
+        assert_canonical(a + b)
+
+    @given(ordinals(), st.integers(min_value=0, max_value=20))
+    def test_scale_is_canonical(self, a, k):
+        assert_canonical(a.scale(k))
+
+    @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=10**30))
+    def test_omega_term_is_canonical(self, mu, n):
+        assert_canonical(omega_term(mu, n))
+
+    @given(st.lists(ordinals(), max_size=8))
+    def test_sums_match_oracle(self, summands):
+        total = sum(summands, ZERO)
+        assert total.terms == oracle_ordinal_sum(a.terms for a in summands)
+
+    @pytest.mark.parametrize(
+        "texts, expected",
+        [
+            (["5", "w"], "w"),
+            (["w*2 + 7", "w^2"], "w^2"),
+            (["w^3 + w^2 + 4", "w^2*5 + w"], "w^3 + w^2*6 + w"),
+            (["w^3 + w + 1", "w^2 + 3", "w^2*2"], "w^3 + w^2*3"),
+            (["w^2 + w*3", "w*4 + 2", "w"], "w^2 + w*8"),
+            (["w^4", "1", "w^4*2", "w^2"], "w^4*3 + w^2"),
+        ],
+    )
+    def test_mixed_exponent_sums(self, texts, expected):
+        summands = [parse_ordinal(text) for text in texts]
+        total = sum(summands, ZERO)
+        assert format_ordinal(total) == expected
+        assert total.terms == oracle_ordinal_sum(a.terms for a in summands)
+
+    @pytest.mark.parametrize("mu", [0, 1, 2, 5])
+    def test_status_shaped_sum(self, mu):
+        # mu_status's loop: 1,000 hop counts, a source at 0 among them.
+        rng = random.Random(mu)
+        hops = [0] + [rng.randint(0, 60) for _ in range(999)]
+        total = sum((omega_term(mu, n) for n in hops), Ordinal())
+        assert format_ordinal(total) == oracle_ordinal_text(mu, sum(hops))
+        assert_canonical(total)
 
 
 class TestOrder:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from tgstatus.finite_graph import FiniteGraph, GraphError
-from tgstatus.model import ValidationFailed, parse_document
+from tgstatus.model import ValidationFailed, parse_document, validate
 from tgstatus.ordinal import ZERO, omega_term, parse_ordinal
 from tgstatus.replacement import AbstractPath, ReplacementResult, build_replacement
 from tgstatus.status import (
@@ -231,13 +231,64 @@ class TestStatus:
         assert bounds.upper == parse_ordinal("w*10")
 
 
+@pytest.fixture
+def bfs_sources(monkeypatch):
+    """The source of every FiniteGraph.bfs_distances call, in call order."""
+    sources = []
+    bfs = FiniteGraph.bfs_distances
+
+    def counted(self, source, **kwargs):
+        sources.append(source)
+        return bfs(self, source, **kwargs)
+
+    monkeypatch.setattr(FiniteGraph, "bfs_distances", counted)
+    return sources
+
+
 class TestConnectedReplacement:
-    def test_hand_built_result_must_be_connected(self):
+    def test_report_decides_connectivity_with_one_bfs(self, bfs_sources):
+        # validate runs twice and ReplacementResult checks once more; the
+        # 0-graph answers all three from one BFS, then one per source.
+        report = status_report(load("g1"))
+        assert report.p == 4
+        assert len(bfs_sources) == report.p + 1
+
+    def test_disconnected_document_names_the_unreached(self, bfs_sources):
+        obj = json.loads((SAMPLES / "g1.json").read_text())
+        for k in (3, 4):
+            obj["sections"].append(
+                {
+                    "id": f"S{k}",
+                    "internal_nodes": [{"id": f"y{k}", "rank": 1, "nonsingleton": True}],
+                    "representative": f"y{k}",
+                }
+            )
+        obj["mu_nodes"] += [
+            {"id": "X3", "tips": [{"id": "t5", "section": "S3"}, {"id": "t6", "section": "S4"}]},
+            {"id": "W3", "tips": [{"id": "t7", "section": "S4"}]},
+        ]
+        obj["include_singletons"] = ["W3"]
+        report = validate(parse_document(json.dumps(obj)))
+        assert [(v.condition, v.message, v.ids) for v in report.violations] == [
+            (
+                "connectivity",
+                "the replacement 0-graph is not connected; unreached: S3, S4, X3, W3",
+                ("S3", "S4", "X3", "W3"),
+            )
+        ]
+        # One BFS decides, a second one from the first section names.
+        assert bfs_sources == ["X1", "y1"]
+
+    def test_hand_built_result_must_be_connected(self, bfs_sources):
         g, r = loaded("g1_with_singletons")
+        bfs_sources.clear()
         # The same maps over the 0-graph without the branch to W1.
         torn = FiniteGraph(r.graph.nodes, [e for e in r.graph.edges if "W1" not in e])
-        with pytest.raises(GraphError, match="^the replacement graph is not connected$"):
-            ReplacementResult(torn, r.zero_node, r.origin)
+        for _ in range(2):
+            with pytest.raises(GraphError, match="^the replacement graph is not connected$"):
+                ReplacementResult(torn, r.zero_node, r.origin)
+        # The graph keeps its answer: the second check runs no BFS.
+        assert len(bfs_sources) == 1
 
     def test_rebuilt_result_answers_as_built(self):
         g, r = loaded("g1_with_singletons")
