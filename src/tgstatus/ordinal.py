@@ -102,6 +102,12 @@ class Ordinal:
             return self
         left = self._terms
         lead = right[0][0]
+        if len(right) == 1 and left and left[-1][0] == lead:
+            # A status sum's case: one term at the exponent of self's
+            # last term merges into that term's coefficient.
+            total = object.__new__(Ordinal)
+            total._terms = left[:-1] + ((lead, left[-1][1] + right[0][1]),)
+            return total
         # One pass from the low end of self: its terms below the leading
         # exponent of other are absorbed, a term at that exponent merges
         # by coefficient addition, and the rest is kept.

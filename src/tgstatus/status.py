@@ -151,15 +151,20 @@ def geodesic(
 def mu_status(graph: TransfiniteGraph, result: ReplacementResult, x: str) -> Ordinal:
     """The status of x: the ordinal sum of its distances to every
     nonsingleton mu-node, every section representative, and every
-    included singleton (the self term contributes 0)."""
+    included singleton (the self term contributes 0).
+
+    Each distinct distance w^mu*h is built once, for h up to the BFS
+    depth of x; the sum still takes one ordinal addition per 0-node."""
     if graph.has_mu_node(x) and not graph.mu_node(x).is_nonsingleton:
         raise StatusError(
             f"status is defined only for nonsingleton nodes; {x!r} is a singleton mu-node"
         )
     source = _zero_node(graph, result, x)
+    distances = result.graph.bfs_distances(source).values()
+    steps = [omega_term(graph.rank, hops) for hops in range(max(distances) + 1)]
     total = Ordinal()
-    for hops in result.graph.bfs_distances(source).values():
-        total = total + omega_term(graph.rank, hops)
+    for hops in distances:
+        total = total + steps[hops]
     return total
 
 

@@ -204,6 +204,20 @@ class TestStatus:
             json.loads(sample(name).read_text())
             for name in ("g1", "g1_with_singletons", "g2", "g3")
         ]
+        # One section and no mu-node: p = 1, and y1's status is 0.
+        docs.append(
+            {
+                "rank": 1,
+                "sections": [
+                    {
+                        "id": "S1",
+                        "internal_nodes": [{"id": "y1", "rank": 0, "nonsingleton": True}],
+                        "representative": "y1",
+                    }
+                ],
+                "mu_nodes": [],
+            }
+        )
         rng = random.Random(31)
         docs += [random_document(rng) for _ in range(30)]
         for index, doc in enumerate(docs):
@@ -225,6 +239,8 @@ class TestStatus:
                 else:
                     assert result.exit_code == 0, node
                     assert json.loads(result.output) == {"id": node, "status": status}
+        one_section = run("status", "--node", "y1", "--json", tmp_path / "doc4.json")
+        assert json.loads(one_section.output) == {"id": "y1", "status": "0"}
 
     def test_unknown_node(self):
         assert run("status", "--node", "nope", sample("g3")).exit_code == 2

@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tgstatus.ordinal import (
     Ordinal,
@@ -212,6 +212,17 @@ class TestBuiltResults:
         assert_canonical(omega_term(mu, n))
 
     @given(st.lists(ordinals(), max_size=8))
+    # a + w^e*4, a of one to three terms, e at, above and below the
+    # exponent of a's last term: the one-term right summand of a status.
+    @example([parse_ordinal("w^2*3"), omega_term(2, 4)])
+    @example([parse_ordinal("w^2*3"), omega_term(3, 4)])
+    @example([parse_ordinal("w^2*3"), omega_term(1, 4)])
+    @example([parse_ordinal("w^3 + w^2*3"), omega_term(2, 4)])
+    @example([parse_ordinal("w^3 + w^2*3"), omega_term(3, 4)])
+    @example([parse_ordinal("w^3 + w^2*3"), omega_term(1, 4)])
+    @example([parse_ordinal("w^4*2 + w^3 + w^2*3"), omega_term(2, 4)])
+    @example([parse_ordinal("w^4*2 + w^3 + w^2*3"), omega_term(3, 4)])
+    @example([parse_ordinal("w^4*2 + w^3 + w^2*3"), omega_term(1, 4)])
     def test_sums_match_oracle(self, summands):
         total = sum(summands, ZERO)
         assert total.terms == oracle_ordinal_sum(a.terms for a in summands)

@@ -8,7 +8,8 @@ import pytest
 
 from tgstatus.finite_graph import FiniteGraph, GraphError
 from tgstatus.model import ValidationFailed, parse_document, validate
-from tgstatus.ordinal import ZERO, omega_term, parse_ordinal
+from tgstatus import status as status_module
+from tgstatus.ordinal import ZERO, Ordinal, omega_term, parse_ordinal
 from tgstatus.replacement import AbstractPath, ReplacementResult, build_replacement
 from tgstatus.status import (
     KIND_MU_NODE,
@@ -94,6 +95,36 @@ def large_documents(seed, count, min_p=500):
         if len(oracle_replacement(doc)[0]) >= min_p:
             docs.append(doc)
     return docs
+
+
+# One p >= 500 document for the status-sum tests.
+LARGE_DOCUMENT = large_documents(seed=6, count=1)[0]
+
+
+def chain_document(sections, rank=2):
+    """Sections S1, S2, ... in a line, each joined to the next by a 2-tip
+    mu-node: a replacement path of 2 * sections - 1 0-nodes."""
+    return {
+        "rank": rank,
+        "sections": [
+            {
+                "id": f"S{i}",
+                "internal_nodes": [{"id": f"y{i}", "rank": rank - 1, "nonsingleton": True}],
+                "representative": f"y{i}",
+            }
+            for i in range(1, sections + 1)
+        ],
+        "mu_nodes": [
+            {
+                "id": f"X{i}",
+                "tips": [
+                    {"id": f"t{2 * i - 1}", "section": f"S{i}"},
+                    {"id": f"t{2 * i}", "section": f"S{i + 1}"},
+                ],
+            }
+            for i in range(1, sections)
+        ],
+    }
 
 
 class TestDistance:
@@ -229,6 +260,72 @@ class TestStatus:
         assert (bounds.p, bounds.q) == (5, 4)
         assert bounds.lower == parse_ordinal("w*4")
         assert bounds.upper == parse_ordinal("w*10")
+
+
+@pytest.fixture
+def ordinal_calls(monkeypatch):
+    """For each mu_status source, in call order: how many omega_term and
+    Ordinal.__add__ calls its status made."""
+    counts = {"omega_term": 0, "add": 0}
+    per_source = {}
+    omega, add, status = status_module.omega_term, Ordinal.__add__, status_module.mu_status
+
+    def counted_omega(mu, n):
+        counts["omega_term"] += 1
+        return omega(mu, n)
+
+    def counted_add(self, other):
+        counts["add"] += 1
+        return add(self, other)
+
+    def counted_status(graph, result, x):
+        before = dict(counts)
+        value = status(graph, result, x)
+        per_source[x] = (
+            counts["omega_term"] - before["omega_term"], counts["add"] - before["add"]
+        )
+        return value
+
+    monkeypatch.setattr(status_module, "omega_term", counted_omega)
+    monkeypatch.setattr(Ordinal, "__add__", counted_add)
+    monkeypatch.setattr(status_module, "mu_status", counted_status)
+    return per_source
+
+
+class TestStatusSums:
+    """Each distance w^mu*h is built once per source, for h up to its BFS
+    depth, and the status still takes one ordinal addition per 0-node."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [json.loads((SAMPLES / "g3.json").read_text()), LARGE_DOCUMENT],
+        ids=["g3", "large"],
+    )
+    def test_one_term_per_depth_and_one_addition_per_node(self, doc, ordinal_calls):
+        report = status_report(parse_document(document_text(doc)))
+        oracle = OracleSession(doc)
+        assert list(ordinal_calls) == [entry.id for entry in report.entries]
+        for source, calls in ordinal_calls.items():
+            depth = max(oracle.dist(oracle.node_of[source]).values())
+            assert calls == (depth + 1, report.p), source
+        # Not one term per 0-node: some source sees two 0-nodes at one depth.
+        assert any(built < report.p for built, _ in ordinal_calls.values())
+
+    @pytest.mark.parametrize(
+        "doc",
+        [LARGE_DOCUMENT, chain_document(250)],
+        ids=["large", "chain"],
+    )
+    def test_every_entry_matches_oracle(self, doc):
+        report = status_report(parse_document(document_text(doc)))
+        nodes, edges = oracle_replacement(doc)
+        sources = [m["id"] for m in doc["mu_nodes"] if len(m["tips"]) >= 2]
+        sources += [s["representative"] for s in doc["sections"]]
+        assert report.p == len(nodes) >= 499
+        assert [entry.id for entry in report.entries] == sources
+        for entry in report.entries:
+            expected = oracle_ordinal_text(doc["rank"], oracle_status(nodes, edges, entry.id))
+            assert str(entry.status) == expected, entry.id
 
 
 @pytest.fixture
