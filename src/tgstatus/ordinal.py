@@ -103,8 +103,9 @@ class Ordinal:
         left = self._terms
         lead = right[0][0]
         if len(right) == 1 and left and left[-1][0] == lead:
-            # A status sum's case: one term at the exponent of self's
-            # last term merges into that term's coefficient.
+            # Every addition of a status sum lands here: one term at the
+            # exponent of self's last term merges into its coefficient,
+            # without the scan below or an _of call.
             total = object.__new__(Ordinal)
             total._terms = left[:-1] + ((lead, left[-1][1] + right[0][1]),)
             return total

@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the package under test:
 plain-dict graph handling, an integer BFS, a union-find connectivity
 counter, a brute-force canonical form and automorphism counter, ordinal
-sums by term absorption, and a seeded random document generator.
+sums by term absorption, a seeded random document generator, and
+large and long-diameter documents built from it or by hand.
 Acceptance tests compare package results against these, so nothing in
 this module may import from tgstatus.
 """
@@ -238,6 +239,45 @@ def random_document(rng: random.Random, *, max_mu=3, max_k=8, max_m=8, small=Fal
         "mu_nodes": mu_nodes,
         "nondisconnectable_pairs": pairs,
         "include_singletons": include,
+    }
+
+
+def large_documents(seed, count, min_p=500):
+    """count random documents whose replacement has at least min_p 0-nodes."""
+    rng = random.Random(seed)
+    docs = []
+    while len(docs) < count:
+        doc = random_document(rng, max_k=700, max_m=700)
+        if len(oracle_replacement(doc)[0]) >= min_p:
+            docs.append(doc)
+    return docs
+
+
+def chain_document(sections, rank=1):
+    """Sections S1..Sn in a line, mu-node Xi joining Si to Si+1: a
+    replacement path of 2 * sections - 1 0-nodes."""
+    return {
+        "rank": rank,
+        "sections": [
+            {
+                "id": f"S{i}",
+                "internal_nodes": [{"id": f"y{i}", "rank": rank - 1, "nonsingleton": True}],
+                "representative": f"y{i}",
+            }
+            for i in range(1, sections + 1)
+        ],
+        "mu_nodes": [
+            {
+                "id": f"X{i}",
+                "tips": [
+                    {"id": f"a{i}", "section": f"S{i}"},
+                    {"id": f"b{i}", "section": f"S{i + 1}"},
+                ],
+            }
+            for i in range(1, sections)
+        ],
+        "nondisconnectable_pairs": [],
+        "include_singletons": [],
     }
 
 

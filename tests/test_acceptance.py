@@ -30,7 +30,9 @@ from tgstatus.replacement import (
 from tgstatus.status import mu_status, status_report
 
 from helpers import (
+    chain_document,
     document_text,
+    large_documents,
     oracle_connected_count,
     oracle_ordinal_text,
     oracle_replacement,
@@ -102,11 +104,15 @@ def test_acceptance_2_achievability_of_both_bounds():
 
 
 def test_acceptance_3_transfinite_scaling_identity():
-    """On 1000 random valid documents, each status equals w^mu times the
-    finite status of the node's 0-node, per an independent BFS oracle."""
+    """On 1000 random valid documents, a p >= 500 document and a
+    250-section chain, each status equals w^mu times the finite status of
+    the node's 0-node, per an independent BFS oracle."""
     with criterion(3, "transfinite scaling identity on random corpus") as info:
         checked = 0
-        for doc in corpus(1000):
+        # The two large inputs run a status sum over hundreds of 0-nodes,
+        # and the chain's over hundreds of distinct hop counts.
+        large = large_documents(seed=6, count=1) + [chain_document(250, rank=2)]
+        for doc in corpus(1000) + large:
             graph = parse_document(document_text(doc))
             result = build_replacement(graph)
             nodes, edges = oracle_replacement(doc)
@@ -128,7 +134,7 @@ def test_acceptance_3_transfinite_scaling_identity():
                 got = str(mu_status(graph, result, source))
                 assert got == expected, (source, got, expected)
                 checked += 1
-        info["detail"] = f"1000 documents, {checked} node statuses, exact"
+        info["detail"] = f"1002 documents, {checked} node statuses, exact"
 
 
 def test_acceptance_4_transfinite_bounds():

@@ -18,40 +18,19 @@ from tgstatus.replacement import (
     translate_path,
 )
 
-from helpers import document_text, oracle_replacement, oracle_simple_paths, random_document
+from helpers import (
+    chain_document,
+    document_text,
+    oracle_replacement,
+    oracle_simple_paths,
+    random_document,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
 
 
 def load(name):
     return parse_document((SAMPLES / f"{name}.json").read_text())
-
-
-def chain_document(sections):
-    """A rank-1 chain: sections S1..Sn, and mu-node Xi joins Si to Si+1."""
-    return {
-        "rank": 1,
-        "sections": [
-            {
-                "id": f"S{i}",
-                "internal_nodes": [{"id": f"y{i}", "rank": 0, "nonsingleton": True}],
-                "representative": f"y{i}",
-            }
-            for i in range(1, sections + 1)
-        ],
-        "mu_nodes": [
-            {
-                "id": f"X{i}",
-                "tips": [
-                    {"id": f"a{i}", "section": f"S{i}"},
-                    {"id": f"b{i}", "section": f"S{i + 1}"},
-                ],
-            }
-            for i in range(1, sections)
-        ],
-        "nondisconnectable_pairs": [],
-        "include_singletons": [],
-    }
 
 
 def recursive_simple_paths(graph, include_trivial):
