@@ -15,7 +15,7 @@ witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -564,16 +564,41 @@ def bound_violation_counts(max_p: int) -> Iterator[tuple[int, int, int]]:
         yield p, graphs, violations
 
 
+def _upper_shapes(p: int, q: int) -> set[int]:
+    """The degree keys, sum(16**degree) over the nodes, of the graphs on
+    p nodes and q edges in which some node attains the upper bound.
+
+    A node x attains it exactly when the graph is a path x = u0 ... ut
+    whose end ut is joined to a set A of a clique K on the other
+    k = p - 1 - t nodes, A non-empty when K is (x itself is joined to A
+    when t = 0).  Since q = t + |A| + k(k-1)/2, each t allows at most
+    one |A|.  Degrees are below 16 for p <= 7, so the key is exact.
+    """
+    keys = set()
+    for t in range(p):
+        k = p - 1 - t
+        a = q - t - k * (k - 1) // 2
+        if min(1, k) <= a <= k:
+            degrees = [a] if t == 0 else [1] + [2] * (t - 1) + [a + 1]
+            degrees += [k] * a + [k - 1] * (k - a)
+            keys.add(sum(16**d for d in degrees))
+    return keys
+
+
 def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
     """Find witness nodes achieving the lower and the upper status bound.
 
     Searches connected labeled graphs with exactly p nodes and q edges in
     deterministic order (edge combinations in lexicographic order) and
     returns the first witness for each bound: the first node of the first
-    graph that achieves it.  Statuses are computed on adjacency bitmasks,
-    and only at nodes whose degree window (_status_window) admits a
-    bound, since no other node can be a witness; a FiniteGraph is built
-    only for a graph that supplies a witness.
+    graph that achieves it.  The lower witness is always v1 of the first
+    graph, whose first q >= p - 1 pairs hold all p - 1 pairs at v1, so
+    v1 has status p - 1.  So the scan seeks the upper bound alone, and
+    runs the bitmask BFS only on a graph whose degree multiset is that
+    of a path into a clique (_upper_shapes), since no other graph has an
+    upper witness, and only from nodes whose degree window
+    (_status_window) admits the bound; the BFS confirms each candidate.
+    A FiniteGraph is built only for a graph that supplies a witness.
     Both witnesses exist for every q with p - 1 <= q <= p(p-1)/2.
     """
     _check_enumeration_size(p, "search")
@@ -583,28 +608,24 @@ def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
         )
     names = _node_names(p)
     lower, upper = status_bounds_values(p, q)
-    lower_witness: Witness | None = None
-    upper_witness: Witness | None = None
-    # admits[byte]: a node with this adjacency byte may be a witness.
+    shapes = _upper_shapes(p, q)
+    weight = [16 ** byte.bit_count() for byte in range(1 << p)]
+    # admits[byte]: a node with this adjacency byte may attain the upper bound.
     admits = [
-        lo <= lower <= hi or lo <= upper <= hi
+        lo <= upper <= hi
         for lo, hi in (_status_window(p, byte.bit_count()) for byte in range(1 << p))
     ]
-    for adj in _labeled_graphs(p, q):
-        sources = [v for v, byte in enumerate(adj) if admits[byte]]
-        statuses = _statuses(adj, sources) if sources else None
-        if statuses is None:
+    graphs = _labeled_graphs(p, q)
+    first = next(graphs)
+    lower_witness = Witness(FiniteGraph(names, _edges(names, first)), names[0], lower)
+    for adj in chain([first], graphs):
+        if sum(map(weight.__getitem__, adj)) not in shapes:
             continue
-        found_lower = lower_witness is None and lower in statuses
-        found_upper = upper_witness is None and upper in statuses
-        if found_lower or found_upper:
-            graph = FiniteGraph(names, _edges(names, adj))
-            if found_lower:
-                lower_witness = Witness(graph, names[statuses.index(lower)], lower)
-            if found_upper:
-                upper_witness = Witness(graph, names[statuses.index(upper)], upper)
-        if lower_witness is not None and upper_witness is not None:
-            return lower_witness, upper_witness
+        statuses = _statuses(adj, [v for v, byte in enumerate(adj) if admits[byte]])
+        if statuses is None or upper not in statuses:
+            continue
+        graph = lower_witness.graph if adj is first else FiniteGraph(names, _edges(names, adj))
+        return lower_witness, Witness(graph, names[statuses.index(upper)], upper)
     raise GraphError(
         f"no witness found for p={p}, q={q}; the exhaustive search should always succeed"
     )

@@ -1,10 +1,11 @@
 """Test-local oracles and generators.
 
 Everything here is deliberately independent of the package under test:
-plain-dict graph handling, an integer BFS, a union-find connectivity
-counter, a brute-force canonical form and automorphism counter, ordinal
-sums by term absorption, a seeded random document generator, and
-large and long-diameter documents built from it or by hand.
+plain-dict graph handling, an integer BFS, a path-into-clique check by
+BFS levels, a union-find connectivity counter, a brute-force canonical
+form and automorphism counter, ordinal sums by term absorption, a
+seeded random document generator, and large and long-diameter
+documents built from it or by hand.
 Acceptance tests compare package results against these, so nothing in
 this module may import from tgstatus.
 """
@@ -41,6 +42,30 @@ def oracle_status(nodes, edges, source):
     if len(dist) != len(list(nodes)):
         return None
     return sum(dist.values())
+
+
+def is_path_into_clique(nodes, edges, x):
+    """True when the graph is a path x = u0 ... ut whose end is joined to
+    some nodes of a clique on all the other nodes: every BFS level from x
+    is a clique, consecutive levels are completely joined, and every
+    level but the last two is a single node.  This is the equality case
+    of the upper status bound (p - 1)(p + 2)/2 - q."""
+    dist = oracle_bfs(nodes, edges, x)
+    if len(dist) != len(list(nodes)):
+        return False
+    levels = [[] for _ in range(max(dist.values()) + 1)]
+    for v, d in dist.items():
+        levels[d].append(v)
+    pairs = {frozenset(edge) for edge in edges}
+
+    def joined(us, vs):
+        return all(frozenset((u, v)) in pairs for u in us for v in vs if u != v)
+
+    return (
+        all(len(level) == 1 for level in levels[:-2])
+        and all(joined(level, level) for level in levels)
+        and all(joined(a, b) for a, b in zip(levels, levels[1:]))
+    )
 
 
 def oracle_connected_count(p):

@@ -85,11 +85,11 @@ def test_acceptance_1_exhaustive_finite_bounds():
 
 
 def test_acceptance_2_achievability_of_both_bounds():
-    """For every p in 2..6 and feasible q, witnesses with status exactly
+    """For every p in 2..7 and feasible q, witnesses with status exactly
     p - 1 and exactly (p - 1)(p + 2)/2 - q exist and are found."""
     with criterion(2, "achievability of both bounds") as info:
         combos = 0
-        for p in range(2, 7):
+        for p in range(2, 8):
             for q in range(p - 1, p * (p - 1) // 2 + 1):
                 lower_w, upper_w = extremal_search(p, q)
                 lower, upper = status_bounds_values(p, q)

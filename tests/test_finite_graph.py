@@ -22,6 +22,7 @@ from tgstatus.finite_graph import (
     _least_degree_last,
     _status_window,
     _statuses,
+    _upper_shapes,
     bound_violation_counts,
     enumerate_connected_graphs,
     extremal_search,
@@ -29,6 +30,7 @@ from tgstatus.finite_graph import (
 )
 
 from helpers import (
+    is_path_into_clique,
     oracle_automorphism_count,
     oracle_bfs,
     oracle_canonical_word,
@@ -560,6 +562,25 @@ class TestExtremalSearch:
             lower, upper = extremal_search(p, q)
             found = [(set(w.graph.edges), w.node, w.status) for w in (lower, upper)]
             assert found == reference_extremal_search(p, q), (p, q)
+
+    def test_upper_bound_attained_exactly_on_paths_into_cliques(self):
+        # Both directions over every connected class with p <= 7, and every
+        # node attaining the bound has a degree multiset the search scans.
+        attained = set()
+        for p, level in enumerate(_connected_classes(7), 1):
+            for word in level:
+                adj = rows_of(word, p)
+                edges = [(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
+                upper = status_bounds_values(p, len(edges))[1]
+                key = sum(16 ** row.bit_count() for row in adj)
+                for x in range(p):
+                    at_bound = oracle_status(range(p), edges, x) == upper
+                    assert at_bound == is_path_into_clique(range(p), edges, x), (p, edges, x)
+                    if at_bound:
+                        assert key in _upper_shapes(p, len(edges)), (p, edges, x)
+                        attained.add((p, len(edges)))
+        feasible = {(p, q) for p in range(1, 8) for q in range(p - 1, p * (p - 1) // 2 + 1)}
+        assert attained == feasible
 
     def test_deterministic(self):
         first = extremal_search(4, 4)
