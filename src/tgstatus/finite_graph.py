@@ -8,14 +8,14 @@ In a connected graph with p nodes and q edges every status s satisfies
 and both ends are achievable for every feasible q.  This module provides
 the graph substrate, the bounds check, exhaustive enumeration of small
 labeled connected graphs, an exhaustive check of the bounds over small
-connected graphs up to isomorphism, and an extremal search for bound
-witnesses.
+connected graphs up to isomorphism, and the first witnesses of both
+bounds, built in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -316,17 +316,6 @@ def _statuses(
     return statuses
 
 
-def _status_window(p: int, d: int) -> tuple[int, int]:
-    """Least and greatest status of a node of degree d in a connected
-    graph on p nodes.
-
-    Its d neighbours are 1 away and every other node at least 2, which
-    gives the least; the j-th nearest non-neighbour is at most j + 1
-    away, which gives the greatest.
-    """
-    return 2 * (p - 1) - d, d + (p - d) * (p - d + 1) // 2 - 1
-
-
 def _labeled_graphs(p: int, q: int) -> Iterator[bytes]:
     """The adjacency of every labeled graph on p nodes with q edges, in
     lexicographic order of the edge combinations."""
@@ -564,42 +553,59 @@ def bound_violation_counts(max_p: int) -> Iterator[tuple[int, int, int]]:
         yield p, graphs, violations
 
 
-def _upper_shapes(p: int, q: int) -> set[int]:
-    """The degree keys, sum(16**degree) over the nodes, of the graphs on
-    p nodes and q edges in which some node attains the upper bound.
-
-    A node x attains it exactly when the graph is a path x = u0 ... ut
-    whose end ut is joined to a set A of a clique K on the other
-    k = p - 1 - t nodes, A non-empty when K is (x itself is joined to A
-    when t = 0).  Since q = t + |A| + k(k-1)/2, each t allows at most
-    one |A|.  Degrees are below 16 for p <= 7, so the key is exact.
-    """
-    keys = set()
-    for t in range(p):
-        k = p - 1 - t
-        a = q - t - k * (k - 1) // 2
-        if min(1, k) <= a <= k:
-            degrees = [a] if t == 0 else [1] + [2] * (t - 1) + [a + 1]
-            degrees += [k] * a + [k - 1] * (k - a)
-            keys.add(sum(16**d for d in degrees))
-    return keys
+def _upper_witness(p: int, q: int) -> tuple[list[tuple[int, int]], int]:
+    """(edges, node) of the upper witness of extremal_search on nodes
+    0..p-1, edges as sorted pairs; for any p >= 1 and feasible q."""
+    if q == p * (p - 1) // 2:
+        return list(combinations(range(p), 2)), 0
+    if q == p - 1:
+        return [(0, 1)] + [(i, i + 2) for i in range(p - 2)], p - 2
+    k = max(k for k in range(1, p) if q - (p - 1 - k) - k * (k - 1) // 2 >= 1)
+    a = q - (p - 1 - k) - k * (k - 1) // 2
+    end = k - 1 if a == k - 1 else k
+    path = [end, *range(k + 1, p)]
+    edges = [pair for pair in combinations(range(k + 1), 2) if end not in pair]
+    edges += [(v, end) for v in range(a)] + list(zip(path, path[1:]))
+    return sorted(edges), path[-1]
 
 
 def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
-    """Find witness nodes achieving the lower and the upper status bound.
+    """Witness nodes of the lower and the upper status bound on p <= 7
+    nodes and q edges, for every q with p - 1 <= q <= p(p-1)/2.
 
-    Searches connected labeled graphs with exactly p nodes and q edges in
-    deterministic order (edge combinations in lexicographic order) and
-    returns the first witness for each bound: the first node of the first
-    graph that achieves it.  The lower witness is always v1 of the first
-    graph, whose first q >= p - 1 pairs hold all p - 1 pairs at v1, so
-    v1 has status p - 1.  So the scan seeks the upper bound alone, and
-    runs the bitmask BFS only on a graph whose degree multiset is that
-    of a path into a clique (_upper_shapes), since no other graph has an
-    upper witness, and only from nodes whose degree window
-    (_status_window) admits the bound; the BFS confirms each candidate.
-    A FiniteGraph is built only for a graph that supplies a witness.
-    Both witnesses exist for every q with p - 1 <= q <= p(p-1)/2.
+    Each witness is the first node that attains its bound in the first
+    connected labeled graph (edge combinations in lexicographic order)
+    in which one does.  The lower witness is v1 of the first graph,
+    whose first q >= p - 1 pairs hold all p - 1 pairs at v1.
+
+    The upper witness is built (_upper_witness), and one BFS confirms
+    its status.  A node x attains the upper bound exactly when the graph
+    is a path x = u0 ... ut whose end ut is joined to a non-empty set A
+    of a clique K on the other k = p - 1 - t nodes (Entringer, Jackson
+    and Snyder, 1976), so q = t + |A| + k(k-1)/2.  Take k largest in
+    1..p-1 with a = |A| >= 1; then a <= k.  With labels v1..vp:
+
+    - a == k, only at q = p(p-1)/2: the complete graph, witness v1;
+    - q == p - 1: the path with edges v1v2 and every v_i v_{i+2},
+      witness v_{p-1};
+    - a == k - 1: K on v1..v_{k-1}, v_{k+1}; ut = v_k joined to
+      v1..v_{k-1}; the path v_k v_{k+2} ... vp; witness vp, or v_k when
+      k = p - 1;
+    - otherwise: K on v1..vk; ut = v_{k+1} joined to v1..va; the path
+      v_{k+1} ... vp; witness vp.
+
+    Why it is first: of two graphs with q edges, the first holds the
+    first pair in which they differ, so the first graph of a family
+    gives v1 the most and the earliest neighbours any member allows,
+    then v2, and so on.  In a tree every degree is at most 2, and the
+    path winds out from v1 both ways.  Otherwise k >= 2 and every degree
+    is at most k, reached by the nodes of A and, when a == k - 1 and
+    t >= 1, by ut: these take the first labels, each joined to the
+    earliest ones, and the rest of K and the path follow in label order.
+    At a == k - 1, ut at v_k has the later neighbour v_{k+2}, which a
+    clique node there would lack (at t = 0, only the last pair is left
+    out).  The far end of the path is the first node at the bound.
+    Both witnesses share one graph when their edges agree.
     """
     _check_enumeration_size(p, "search")
     if isinstance(q, bool) or not isinstance(q, int) or not p - 1 <= q <= p * (p - 1) // 2:
@@ -608,24 +614,11 @@ def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
         )
     names = _node_names(p)
     lower, upper = status_bounds_values(p, q)
-    shapes = _upper_shapes(p, q)
-    weight = [16 ** byte.bit_count() for byte in range(1 << p)]
-    # admits[byte]: a node with this adjacency byte may attain the upper bound.
-    admits = [
-        lo <= upper <= hi
-        for lo, hi in (_status_window(p, byte.bit_count()) for byte in range(1 << p))
-    ]
-    graphs = _labeled_graphs(p, q)
-    first = next(graphs)
-    lower_witness = Witness(FiniteGraph(names, _edges(names, first)), names[0], lower)
-    for adj in chain([first], graphs):
-        if sum(map(weight.__getitem__, adj)) not in shapes:
-            continue
-        statuses = _statuses(adj, [v for v, byte in enumerate(adj) if admits[byte]])
-        if statuses is None or upper not in statuses:
-            continue
-        graph = lower_witness.graph if adj is first else FiniteGraph(names, _edges(names, adj))
-        return lower_witness, Witness(graph, names[statuses.index(upper)], upper)
-    raise GraphError(
-        f"no witness found for p={p}, q={q}; the exhaustive search should always succeed"
-    )
+    first = list(combinations(range(p), 2))[:q]
+    edges, node = _upper_witness(p, q)
+    lower_graph = upper_graph = FiniteGraph(names, [(names[i], names[j]) for i, j in first])
+    if edges != first:
+        upper_graph = FiniteGraph(names, [(names[i], names[j]) for i, j in edges])
+    if upper_graph.status(names[node]) != upper:
+        raise GraphError(f"the constructed upper witness for p={p}, q={q} misses the bound")
+    return Witness(lower_graph, names[0], lower), Witness(upper_graph, names[node], upper)

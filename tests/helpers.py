@@ -56,10 +56,13 @@ def is_path_into_clique(nodes, edges, x):
     levels = [[] for _ in range(max(dist.values()) + 1)]
     for v, d in dist.items():
         levels[d].append(v)
-    pairs = {frozenset(edge) for edge in edges}
+    adjacency = {node: set() for node in dist}
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
 
     def joined(us, vs):
-        return all(frozenset((u, v)) in pairs for u in us for v in vs if u != v)
+        return all(v in adjacency[u] for u in us for v in vs if u != v)
 
     return (
         all(len(level) == 1 for level in levels[:-2])

@@ -653,6 +653,11 @@ def test_fuzzed_kernel_options_exit_cleanly(max_p, p, q, as_json):
 # Goldens of the exhaustive kernels; each is the concatenated output of
 # its command lines.
 KERNEL_GOLDENS = {
+    "extremal_p1_6.txt": [
+        ("extremal", "--p", p, "--q", q)
+        for p in range(1, 7)
+        for q in range(p - 1, p * (p - 1) // 2 + 1)
+    ],
     "extremal_p7.txt": [("extremal", "--p", 7, "--q", q) for q in range(6, 22)],
     "extremal_p6_q9.json": [("extremal", "--p", 6, "--q", 9, "--json")],
     "verify_ejs_max6.txt": [("verify-ejs", "--max-p", 6)],

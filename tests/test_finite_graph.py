@@ -20,9 +20,8 @@ from tgstatus.finite_graph import (
     _connected_classes,
     _labeled_graphs,
     _least_degree_last,
-    _status_window,
     _statuses,
-    _upper_shapes,
+    _upper_witness,
     bound_violation_counts,
     enumerate_connected_graphs,
     extremal_search,
@@ -306,20 +305,6 @@ class TestBitmaskKernel:
                     listed = [expected[v] if v in sources else None for v in nodes]
                     assert _statuses(adj, sources) == listed, (p, mask, sources)
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
-    def test_status_window_is_sound_and_tight(self, p):
-        reached = {d: set() for d in range(p)}
-        for _, adj, statuses in all_labeled(p):
-            assert None not in statuses, (p, list(adj))
-            for v, status in enumerate(statuses):
-                d = adj[v].bit_count()
-                lo, hi = _status_window(p, d)
-                assert lo <= status <= hi, (p, list(adj), v)
-                reached[d].add(status)
-        # A connected graph on p >= 2 nodes has every degree from 1 to p - 1.
-        for d in range(1 if p >= 2 else 0, p):
-            assert set(_status_window(p, d)) <= reached[d], (p, d)
-
     @pytest.mark.parametrize("p, count", enumerate(LABELED_CONNECTED, 1))
     def test_bound_violation_counts_matches_a001187(self, p, count):
         rows = list(bound_violation_counts(p))
@@ -564,23 +549,36 @@ class TestExtremalSearch:
             assert found == reference_extremal_search(p, q), (p, q)
 
     def test_upper_bound_attained_exactly_on_paths_into_cliques(self):
-        # Both directions over every connected class with p <= 7, and every
-        # node attaining the bound has a degree multiset the search scans.
+        # Both directions over every connected class with p <= 7.
         attained = set()
         for p, level in enumerate(_connected_classes(7), 1):
             for word in level:
                 adj = rows_of(word, p)
                 edges = [(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
                 upper = status_bounds_values(p, len(edges))[1]
-                key = sum(16 ** row.bit_count() for row in adj)
                 for x in range(p):
                     at_bound = oracle_status(range(p), edges, x) == upper
                     assert at_bound == is_path_into_clique(range(p), edges, x), (p, edges, x)
                     if at_bound:
-                        assert key in _upper_shapes(p, len(edges)), (p, edges, x)
                         attained.add((p, len(edges)))
         feasible = {(p, q) for p in range(1, 8) for q in range(p - 1, p * (p - 1) // 2 + 1)}
         assert attained == feasible
+
+    def test_construction_past_the_cap(self):
+        # The uncapped construction for every feasible q on p <= 30 nodes:
+        # q distinct sorted edges of a connected graph, a witness at the
+        # upper bound on a path into a clique, and for p <= 12 no
+        # lower-numbered node at the bound.
+        for p in range(1, 31):
+            for q in range(p - 1, p * (p - 1) // 2 + 1):
+                edges, x = _upper_witness(p, q)
+                assert len(edges) == len(set(edges)) == q and edges == sorted(edges), (p, q)
+                assert all(0 <= u < v < p for u, v in edges), (p, q)
+                upper = status_bounds_values(p, q)[1]
+                assert oracle_status(range(p), edges, x) == upper, (p, q)
+                assert is_path_into_clique(range(p), edges, x), (p, q)
+                if p <= 12:
+                    assert all(oracle_status(range(p), edges, v) != upper for v in range(x)), (p, q)
 
     def test_deterministic(self):
         first = extremal_search(4, 4)
