@@ -280,25 +280,22 @@ def _edges(names: tuple[str, ...], adj: bytes) -> list[tuple[str, str]]:
     return [(names[i], names[j]) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
 
 
-def _statuses(
-    adj: Sequence[int], sources: Iterable[int] | None = None
-) -> list[int | None] | None:
-    """The status of each source node from adjacency bitmasks (every node
-    when sources is None, else None at the nodes not listed); None when
-    the graph is disconnected.
+def _statuses(adj: Sequence[int]) -> list[int] | None:
+    """The status of every node from adjacency bitmasks; None when the
+    graph is disconnected.
 
-    Each source runs a level-synchronous BFS on bitsets.  The first
-    level is the source's adjacency; each later level is the set of
-    unreached nodes adjacent to the previous one, found by scanning the
-    unreached nodes (few, in dense graphs).  The status is the sum over
-    k >= 0 of the number of nodes farther than k, so every level adds the
-    count still unreached.  Any source's BFS doubles as the connectivity
+    Each node runs a level-synchronous BFS on bitsets.  The first level
+    is the node's adjacency; each later level is the set of unreached
+    nodes adjacent to the previous one, found by scanning the unreached
+    nodes (few, in dense graphs).  The status is the sum over k >= 0 of
+    the number of nodes farther than k, so every level adds the count
+    still unreached.  The first node's BFS doubles as the connectivity
     check.
     """
     p = len(adj)
     full = (1 << p) - 1
-    statuses: list[int | None] = [None] * p
-    for source in range(p) if sources is None else sources:
+    statuses = [0] * p
+    for source in range(p):
         frontier = adj[source]
         rest = full & ~frontier & ~(1 << source)
         status = p - 1
@@ -398,9 +395,9 @@ def _leaf_word(adj: Sequence[int], cells: list[int]) -> int:
     return word
 
 
-def _canonical_form(adj: Sequence[int]) -> tuple[int, int]:
-    """(canonical word, automorphism count) of a graph given by its
-    adjacency bitmasks.
+def _canonical_form(adj: Sequence[int]) -> tuple[int, int, tuple[bytes, ...]]:
+    """(canonical word, automorphism count, generators of the automorphism
+    group) of a graph given by its adjacency bitmasks.
 
     A search tree of ordered partitions (McKay, "Practical graph
     isomorphism", 1981): the root refines the unit partition, a child
@@ -434,6 +431,14 @@ def _canonical_form(adj: Sequence[int]) -> tuple[int, int]:
     that child's whole orbit under the automorphisms that fix the
     prefix, and by orbit-stabiliser |Aut| is the product of these orbit
     sizes (only the identity fixes a leaf).
+
+    The automorphisms found also generate the group: by induction up the
+    path, those found from a level down fix its prefix, act on the
+    first-path child's orbit transitively, and include the generators of
+    its stabiliser, so they generate the whole stabiliser of the prefix.
+    Each generator g comes as the bytes of g(i) over the labels i of the
+    least leaf, which are the labels of the canonical word's rows (bytes
+    are the smallest sequence of small ints to keep for a whole level).
     """
     p = len(adj)
     full = (1 << p) - 1
@@ -443,10 +448,11 @@ def _canonical_form(adj: Sequence[int]) -> tuple[int, int]:
         k = next(k for k, cell in enumerate(cells) if cell & (cell - 1))
         path.append((cells, k))
         cells = _individualise(adj, cells, k, cells[k] & -cells[k])
-    first = [cell.bit_length() - 1 for cell in cells]
+    first = best_leaf = [cell.bit_length() - 1 for cell in cells]
     first_word = best = _leaf_word(adj, cells)
     orbit = list(range(p))  # orbit[v]: a representative of v's orbit
     automorphisms = 1
+    found = []  # each automorphism g as the list of g(v) over the nodes v
     for cells, k in reversed(path):
         members = _MEMBERS[cells[k]]
         explored = [members[0]]
@@ -463,14 +469,23 @@ def _canonical_form(adj: Sequence[int]) -> tuple[int, int]:
                     continue
                 word = _leaf_word(adj, child)
                 if word == first_word:
-                    for cell, image in zip(child, first):
-                        a, b = orbit[cell.bit_length() - 1], orbit[image]
+                    image = [0] * p
+                    for cell, target in zip(child, first):
+                        image[cell.bit_length() - 1] = target
+                    found.append(image)
+                    for v, target in enumerate(image):
+                        a, b = orbit[v], orbit[target]
                         if a != b:
                             orbit = [b if o == a else o for o in orbit]
                     break
-                best = min(best, word)
+                if word < best:
+                    best, best_leaf = word, [cell.bit_length() - 1 for cell in child]
         automorphisms *= sum(orbit[u] == orbit[members[0]] for u in members)
-    return best, automorphisms
+    label = [0] * p
+    for i, v in enumerate(best_leaf):
+        label[v] = i
+    generators = tuple(bytes(label[image[v]] for v in best_leaf) for image in found)
+    return best, automorphisms, generators
 
 
 def _rows(word: int, p: int) -> list[int]:
@@ -491,15 +506,58 @@ def _spans(adj: Sequence[int], nodes: int) -> bool:
     return reached == nodes
 
 
-def _least_degree_last(adj: Sequence[int]) -> bool:
+def _least_invariant_last(adj: Sequence[int]) -> bool:
     """True when no non-cut node (one whose deletion leaves the graph
-    connected) has a smaller degree than the last node."""
+    connected) has a smaller (degree, sorted neighbour degrees) than the
+    last node; the neighbour degrees are compared only on a degree tie."""
     last = len(adj) - 1
     nodes = (1 << len(adj)) - 1
     degree = adj[last].bit_count()
-    return not any(
-        adj[u].bit_count() < degree and _spans(adj, nodes ^ 1 << u) for u in range(last)
-    )
+    profile = None
+
+    def neighbour_degrees(v: int) -> list[int]:
+        return sorted(adj[u].bit_count() for u in _MEMBERS[adj[v]])
+
+    for u in range(last):
+        if adj[u].bit_count() > degree:
+            continue
+        if adj[u].bit_count() == degree:
+            if profile is None:
+                profile = neighbour_degrees(last)
+            if neighbour_degrees(u) >= profile:
+                continue
+        if _spans(adj, nodes ^ 1 << u):
+            return False
+    return True
+
+
+def _orbit_representatives(generators: Sequence[Sequence[int]], n: int) -> Sequence[int]:
+    """The least node bitmask of each orbit of the group that the
+    permutations generate (each the sequence of g(v) over the nodes v) on
+    the non-empty node sets of n nodes, in increasing order."""
+    top = 1 << n
+    if not generators:
+        return range(1, top)
+    images = []  # images[k][mask]: the image of mask under generator k
+    for perm in generators:
+        image = [0]
+        for target in perm:  # the masks with bit v set follow those below it
+            image += [mask | 1 << target for mask in image]
+        images.append(image)
+    seen = bytearray(top)
+    representatives = []
+    for mask in range(1, top):
+        if seen[mask]:
+            continue
+        representatives.append(mask)
+        seen[mask] = 1
+        orbit = [mask]
+        for member in orbit:  # the loop also visits the images appended below
+            for image in images:
+                if not seen[image[member]]:
+                    seen[image[member]] = 1
+                    orbit.append(image[member])
+    return representatives
 
 
 def _connected_classes(max_p: int) -> Iterator[dict[int, int]]:
@@ -507,29 +565,48 @@ def _connected_classes(max_p: int) -> Iterator[dict[int, int]]:
     connected graphs on n nodes, one level for each n = 1, ..., max_p.
 
     Every connected graph on n >= 2 nodes has a non-cut node (an end of a
-    longest path).  Take a non-cut node m of least degree among them: the
-    graph is a connected graph on n - 1 nodes plus m, joined to a
-    non-empty set of them.  So each level joins a new last node to every
-    non-empty node set of every class of the level yielded before it,
-    skips the graphs that fail _least_degree_last (each class is still
-    reached through its node m), and keeps one graph per canonical word.
+    longest path).  Take a non-cut node m that minimises (degree, sorted
+    neighbour degrees) among them: the graph is a connected graph on
+    n - 1 nodes plus m, joined to a non-empty set of them.  So each level
+    joins a new last node to non-empty node sets of every class of the
+    level yielded before it, skips the graphs that fail
+    _least_invariant_last, and keeps one graph per canonical word.  Two
+    prunings cut the canonical forms, and each keeps every class:
+
+    - The rule.  G - m is connected, so its class is in the level
+      before, and joining the new node to the nodes that m's neighbours
+      become there gives G again, with the new node in m's place.  The
+      invariant does not depend on labels, so that extension passes
+      _least_invariant_last.
+    - Orbits.  Only the least node set of each orbit of the parent's
+      automorphism group is joined (_orbit_representatives).  If g maps
+      one set onto another, g extended by the new node is an isomorphism
+      between the two extensions that fixes the new node, so they are
+      one class and the rule keeps both or neither.  The generators come
+      from the parent's _canonical_form, in the labels of its canonical
+      rows; they are kept for the level being extended only.
     """
     level = {0: 1}  # the single node: word 0, one automorphism
+    generators: dict[int, tuple[bytes, ...]] = {}  # only for nontrivial groups
     yield level
     for n in range(1, max_p):
         top = 1 << n
         grown: dict[int, int] = {}
+        grown_generators = {}
         for word in level:
             rows = _rows(word, n)
-            for joined in range(1, top):
+            for joined in _orbit_representatives(generators.pop(word, ()), n):
                 adj = rows + [joined]
                 for v in _MEMBERS[joined]:
                     adj[v] |= top
-                if _least_degree_last(adj):
-                    canonical, automorphisms = _canonical_form(adj)
-                    grown.setdefault(canonical, automorphisms)
+                if _least_invariant_last(adj):
+                    canonical, automorphisms, found = _canonical_form(adj)
+                    if canonical not in grown:
+                        grown[canonical] = automorphisms
+                        if found and n + 1 < max_p:
+                            grown_generators[canonical] = found
         yield grown
-        level = grown
+        level, generators = grown, grown_generators
 
 
 def bound_violation_counts(max_p: int) -> Iterator[tuple[int, int, int]]:

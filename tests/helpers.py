@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the package under test:
 plain-dict graph handling, an integer BFS, a path-into-clique check by
-BFS levels, a union-find connectivity counter, a brute-force canonical
-form and automorphism counter, ordinal sums by term absorption, a
+BFS levels, a union-find connectivity counter, labeled connected
+counts by edge count, a brute-force canonical form, automorphism group
+and its orbits on node sets, ordinal sums by term absorption, a
 seeded random document generator, and large and long-diameter
 documents built from it or by hand.
 Acceptance tests compare package results against these, so nothing in
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from itertools import combinations, permutations
+from math import comb
 
 
 def oracle_bfs(nodes, edges, source):
@@ -105,14 +107,61 @@ def oracle_canonical_word(p, edges):
     )
 
 
-def oracle_automorphism_count(p, edges):
-    """Number of permutations of the nodes 0..p-1 that map the edge set
-    onto itself, found by trying all p! of them."""
+def oracle_connected_edge_count(n, k):
+    """Number of labeled connected graphs with n nodes and k edges: all
+    C(C(n,2), k) graphs minus those whose component at node 1 has m < n
+    nodes, which are C(n-1, m-1) node sets times a connected graph with j
+    edges on them times any graph with the k - j others on the rest."""
+    total = comb(comb(n, 2), k)
+    for m in range(1, n):
+        for j in range(m - 1, min(k, comb(m, 2)) + 1):
+            total -= (
+                comb(n - 1, m - 1)
+                * oracle_connected_edge_count(m, j)
+                * comb(comb(n - m, 2), k - j)
+            )
+    return total
+
+
+def oracle_automorphisms(p, edges):
+    """The permutations of the nodes 0..p-1 (perm[v] the image of v) that
+    map the edge set onto itself, found by trying all p! of them."""
     edge_set = {frozenset(edge) for edge in edges}
-    return sum(
-        all(frozenset((perm[u], perm[v])) in edge_set for u, v in edges)
+    return [
+        perm
         for perm in permutations(range(p))
-    )
+        if all(frozenset((perm[u], perm[v])) in edge_set for u, v in edges)
+    ]
+
+
+def oracle_automorphism_count(p, edges):
+    """Number of automorphisms of a graph on nodes 0..p-1, by brute force."""
+    return len(oracle_automorphisms(p, edges))
+
+
+def oracle_generated_group(p, generators):
+    """Every permutation of 0..p-1, as a tuple, that is a product of the
+    generators (sequences, g[v] the image of v), found by closing the
+    identity under them."""
+    group = {tuple(range(p))}
+    frontier = list(group)
+    while frontier:
+        element = frontier.pop()
+        for g in generators:
+            product = tuple(g[element[v]] for v in range(p))
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    return group
+
+
+def oracle_node_set_orbits(p, perms):
+    """The orbits of a permutation group, given by all its elements, on
+    the non-empty node sets of 0..p-1, each a frozenset of bitmasks."""
+    return {
+        frozenset(sum(1 << perm[v] for v in range(p) if mask >> v & 1) for perm in perms)
+        for mask in range(1, 1 << p)
+    }
 
 
 def oracle_replacement(doc):

@@ -1,9 +1,9 @@
 """Tests for the finite graph substrate, enumeration and extremal search."""
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from click.testing import CliRunner
@@ -19,7 +19,8 @@ from tgstatus.finite_graph import (
     _canonical_form,
     _connected_classes,
     _labeled_graphs,
-    _least_degree_last,
+    _least_invariant_last,
+    _orbit_representatives,
     _statuses,
     _upper_witness,
     bound_violation_counts,
@@ -31,9 +32,13 @@ from tgstatus.finite_graph import (
 from helpers import (
     is_path_into_clique,
     oracle_automorphism_count,
+    oracle_automorphisms,
     oracle_bfs,
     oracle_canonical_word,
     oracle_connected_count,
+    oracle_connected_edge_count,
+    oracle_generated_group,
+    oracle_node_set_orbits,
     oracle_status,
 )
 
@@ -292,19 +297,6 @@ class TestBitmaskKernel:
             ]
             assert [list(adj) for adj in _labeled_graphs(p, q)] == expected, (p, q)
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
-    def test_statuses_of_listed_sources_on_every_edge_mask(self, p):
-        for mask in range(1 << (p * (p - 1) // 2)):
-            nodes, edges, adj = graph_of_mask(p, mask)
-            expected = [oracle_status(nodes, edges, v) for v in nodes]
-            for subset in range(1, 1 << p):
-                sources = [v for v in nodes if subset >> v & 1]
-                if None in expected:
-                    assert _statuses(adj, sources) is None, (p, mask, sources)
-                else:
-                    listed = [expected[v] if v in sources else None for v in nodes]
-                    assert _statuses(adj, sources) == listed, (p, mask, sources)
-
     @pytest.mark.parametrize("p, count", enumerate(LABELED_CONNECTED, 1))
     def test_bound_violation_counts_matches_a001187(self, p, count):
         rows = list(bound_violation_counts(p))
@@ -331,7 +323,7 @@ def labeled_classes(p):
     labeled connected graph on p nodes."""
     groups = defaultdict(list)
     for _, adj, statuses in all_labeled(p):
-        groups[_canonical_form(adj)].append(sorted(statuses))
+        groups[_canonical_form(adj)[:2]].append(sorted(statuses))
     return groups
 
 
@@ -347,10 +339,10 @@ class TestIsomorphismClasses:
         for (word, automorphisms), multisets in groups.items():
             assert len(multisets) == factorial(p) // automorphisms, (p, word)
             representative = rows_of(word, p)
-            assert _canonical_form(representative) == (word, automorphisms)
+            assert _canonical_form(representative)[:2] == (word, automorphisms)
             assert multisets == [sorted(_statuses(representative))] * len(multisets)
         level = list(_connected_classes(p))[p - 1]
-        generated = [(*_canonical_form(rows_of(word, p)), aut) for word, aut in level.items()]
+        generated = [(*_canonical_form(rows_of(word, p))[:2], aut) for word, aut in level.items()]
         assert sorted(generated) == sorted((word, aut, aut) for word, aut in groups)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -358,11 +350,11 @@ class TestIsomorphismClasses:
         by_form, by_oracle = defaultdict(set), defaultdict(set)
         for k, (_, adj, _) in enumerate(all_labeled(p)):
             edges = [(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
-            by_form[_canonical_form(adj)].add(k)
+            by_form[_canonical_form(adj)[:2]].add(k)
             by_oracle[oracle_canonical_word(p, edges)].add(k)
         assert sorted(map(sorted, by_form.values())) == sorted(map(sorted, by_oracle.values()))
 
-    def test_least_degree_last_ignores_cut_nodes(self):
+    def test_least_invariant_last_ignores_cut_nodes(self):
         # Two K4s, {8, 1, 2, 3} and {4, 5, 6, 7}, joined through node 0:
         # node 0 has the least degree, 2, but it is a cut node, so the
         # last node (degree 3) has the least degree of the non-cut nodes.
@@ -371,10 +363,25 @@ class TestIsomorphismClasses:
         blocks = [(8, 1, 2, 3), (4, 5, 6, 7)]
         edges = [pair for block in blocks for pair in combinations(block, 2)] + [(0, 3), (0, 4)]
         _, _, adj = graph_of_edges(9, edges)
-        assert _least_degree_last(adj)
+        assert _least_invariant_last(adj)
         # Node 0 is a leaf, and the last node has degree 2.
         _, _, adj = graph_of_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
-        assert not _least_degree_last(adj)
+        assert not _least_invariant_last(adj)
+
+    def test_least_invariant_last_breaks_degree_ties_by_neighbour_degrees(self):
+        # Leaves 0 and 4 tie on degree; 0 hangs from a node of degree 2,
+        # the last node from one of degree 3.
+        _, _, adj = graph_of_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+        assert not _least_invariant_last(adj)
+        # The path: both ends have (1, [2]), an equal invariant.
+        _, _, adj = graph_of_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert _least_invariant_last(adj)
+        # Triangles 0, 1, 2 and 6, 7, 8 joined by the path 0 3 4 5 6: the
+        # cut node 4 has (2, [2, 2]), less than the (2, [2, 3]) of the last
+        # node and of every non-cut node, and it is ignored.
+        triangles = [(0, 1), (0, 2), (1, 2), (6, 7), (6, 8), (7, 8)]
+        _, _, adj = graph_of_edges(9, triangles + [(0, 3), (3, 4), (4, 5), (5, 6)])
+        assert _least_invariant_last(adj)
 
     def test_p7_classes_sum_to_the_labeled_count(self):
         levels = list(_connected_classes(7))
@@ -382,11 +389,46 @@ class TestIsomorphismClasses:
         for p, level in enumerate(levels, 1):
             assert sum(factorial(p) // aut for aut in level.values()) == LABELED_CONNECTED[p - 1]
 
-    @pytest.mark.parametrize("max_p, calls", [(6, 364), (7, 2796)])
+    def test_classes_sum_to_the_labeled_count_of_every_edge_count(self):
+        for p, level in enumerate(_connected_classes(7), 1):
+            labeled = Counter()
+            for word, automorphisms in level.items():
+                q = sum(row.bit_count() for row in rows_of(word, p)) // 2
+                labeled[q] += factorial(p) // automorphisms
+            expected = [oracle_connected_edge_count(p, q) for q in range(comb(p, 2) + 1)]
+            assert sum(expected) == LABELED_CONNECTED[p - 1]
+            assert [labeled[q] for q in range(comb(p, 2) + 1)] == expected, p
+
+    def test_walk_generators_and_orbits_match_brute_force(self, monkeypatch):
+        # The generators that the walk keeps for each class are those of
+        # the class's first canonical form.
+        first = {}
+
+        def recording(adj):
+            form = _canonical_form(adj)
+            first.setdefault((len(adj), form[0]), form[2])
+            return form
+
+        monkeypatch.setattr(finite_graph, "_canonical_form", recording)
+        for p, level in enumerate(_connected_classes(6), 1):
+            for word, automorphisms in level.items():
+                generators = first.get((p, word), ())
+                adj = rows_of(word, p)
+                edges = {(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1}
+                for g in generators:
+                    assert {tuple(sorted((g[i], g[j]))) for i, j in edges} == edges, (p, word)
+                count = oracle_automorphism_count(p, edges)
+                assert len(oracle_generated_group(p, generators)) == count == automorphisms
+                kept = list(_orbit_representatives(generators, p))
+                orbits = oracle_node_set_orbits(p, oracle_automorphisms(p, edges))
+                assert kept == sorted(min(orbit) for orbit in orbits), (p, word)
+
+    @pytest.mark.parametrize("max_p, calls", [(6, 143), (7, 1028)])
     def test_verify_ejs_builds_each_level_once(self, max_p, calls, monkeypatch):
         # One walk builds each level n >= 2 once, with one canonical form
-        # per extension of a class on n - 1 nodes that _least_degree_last
-        # keeps; building the levels again for every p takes 452 and 3,248.
+        # per extension of a class on n - 1 nodes that orbit pruning and
+        # _least_invariant_last keep; building the levels again for every
+        # p takes 186 and 1,214.
         counted = []
 
         def counting(adj):
@@ -397,6 +439,10 @@ class TestIsomorphismClasses:
         result = CliRunner().invoke(main, ["verify-ejs", "--max-p", str(max_p)])
         assert result.exit_code == 0
         assert len(counted) == calls
+        if max_p == 6:
+            # The single node needs no search, and of the 142 classes on
+            # 2..6 nodes one is reached twice, so the count is the class count.
+            assert len(counted) == sum(CONNECTED_CLASSES[:6])
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_violations_count_labeled_nodes(self, p, monkeypatch):
@@ -460,13 +506,13 @@ class TestCanonicalForm:
     def test_known_group_orders_under_relabeling(self, graph, automorphisms):
         p, edges = graph
         _, _, adj = graph_of_edges(p, edges)
-        word, count = _canonical_form(adj)
+        word, count, _ = _canonical_form(adj)
         assert count == automorphisms
         rng = random.Random(p * 1000 + len(edges))
         for _ in range(20):
             perm = rng.sample(range(p), p)
             _, _, relabeled = graph_of_edges(p, [(perm[u], perm[v]) for u, v in edges])
-            assert _canonical_form(relabeled) == (word, automorphisms)
+            assert _canonical_form(relabeled)[:2] == (word, automorphisms)
 
     def test_complete_graph_search_stays_small(self, monkeypatch):
         # Orbit pruning explores one sibling per level of K9's first path;
