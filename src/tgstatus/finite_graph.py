@@ -26,6 +26,7 @@ __all__ = [
     "FiniteGraph",
     "GraphError",
     "MAX_ENUMERATION_NODES",
+    "MAX_EXTREMAL_NODES",
     "MAX_VERIFY_NODES",
     "Witness",
     "bound_violation_counts",
@@ -36,6 +37,9 @@ __all__ = [
 
 MAX_ENUMERATION_NODES = 7
 MAX_VERIFY_NODES = 9
+# extremal_search builds its witnesses in closed form, so its cap only
+# bounds the output: the complete graph on 100 nodes has 4,950 edges.
+MAX_EXTREMAL_NODES = 100
 
 
 class GraphError(ValueError):
@@ -506,14 +510,16 @@ def _spans(adj: Sequence[int], nodes: int) -> bool:
     return reached == nodes
 
 
-def _least_invariant_last(adj: Sequence[int]) -> bool:
-    """True when no non-cut node (one whose deletion leaves the graph
+def _least_invariant_last(adj: Sequence[int]) -> int:
+    """0 when a non-cut node (one whose deletion leaves the graph
     connected) has a smaller (degree, sorted neighbour degrees) than the
-    last node; the neighbour degrees are compared only on a degree tie."""
+    last node; otherwise 2 when another node has the same, and 1 when
+    none does.  Neighbour degrees are compared only on a degree tie."""
     last = len(adj) - 1
     nodes = (1 << len(adj)) - 1
     degree = adj[last].bit_count()
     profile = None
+    tied = False
 
     def neighbour_degrees(v: int) -> list[int]:
         return sorted(adj[u].bit_count() for u in _MEMBERS[adj[v]])
@@ -524,20 +530,23 @@ def _least_invariant_last(adj: Sequence[int]) -> bool:
         if adj[u].bit_count() == degree:
             if profile is None:
                 profile = neighbour_degrees(last)
-            if neighbour_degrees(u) >= profile:
+            other = neighbour_degrees(u)
+            if other == profile:
+                tied = True
+            if other >= profile:
                 continue
         if _spans(adj, nodes ^ 1 << u):
-            return False
-    return True
+            return 0
+    return 2 if tied else 1
 
 
-def _orbit_representatives(generators: Sequence[Sequence[int]], n: int) -> Sequence[int]:
-    """The least node bitmask of each orbit of the group that the
+def _orbit_representatives(generators: Sequence[Sequence[int]], n: int) -> dict[int, int]:
+    """{least node bitmask: orbit size} of each orbit of the group that the
     permutations generate (each the sequence of g(v) over the nodes v) on
     the non-empty node sets of n nodes, in increasing order."""
     top = 1 << n
     if not generators:
-        return range(1, top)
+        return dict.fromkeys(range(1, top), 1)
     images = []  # images[k][mask]: the image of mask under generator k
     for perm in generators:
         image = [0]
@@ -545,11 +554,10 @@ def _orbit_representatives(generators: Sequence[Sequence[int]], n: int) -> Seque
             image += [mask | 1 << target for mask in image]
         images.append(image)
     seen = bytearray(top)
-    representatives = []
+    representatives = {}
     for mask in range(1, top):
         if seen[mask]:
             continue
-        representatives.append(mask)
         seen[mask] = 1
         orbit = [mask]
         for member in orbit:  # the loop also visits the images appended below
@@ -557,21 +565,59 @@ def _orbit_representatives(generators: Sequence[Sequence[int]], n: int) -> Seque
                 if not seen[image[member]]:
                     seen[image[member]] = 1
                     orbit.append(image[member])
+        representatives[mask] = len(orbit)
     return representatives
 
 
-def _connected_classes(max_p: int) -> Iterator[dict[int, int]]:
-    """{canonical word: automorphism count} of the isomorphism classes of
-    connected graphs on n nodes, one level for each n = 1, ..., max_p.
+def _extensions(
+    level: dict[int, int], generators: dict[int, tuple[bytes, ...]], n: int
+) -> Iterator[tuple[list[int], int, bool]]:
+    """(adjacency, |Aut(P)| / |orbit of S|, whether another node ties with
+    the new one) of each graph that joins a new node n to the least set S
+    of an orbit of Aut(P), for each class P on n nodes (the rows of a
+    word of level), and passes _least_invariant_last.  The generators of
+    each class's group are popped as it is extended."""
+    top = 1 << n
+    for word, automorphisms in level.items():
+        rows = _rows(word, n)
+        for joined, orbit in _orbit_representatives(generators.pop(word, ()), n).items():
+            adj = rows + [joined]
+            for v in _MEMBERS[joined]:
+                adj[v] |= top
+            verdict = _least_invariant_last(adj)
+            if verdict:
+                yield adj, automorphisms // orbit, verdict == 2
+
+
+def _last_level(
+    extensions: Iterator[tuple[list[int], int, bool]]
+) -> Iterator[tuple[list[int], int]]:
+    """(adjacency, automorphism count) of one graph per class among the
+    extensions: each untied one as it comes, a tied one when its
+    canonical word is new."""
+    words: set[int] = set()
+    for adj, automorphisms, tied in extensions:
+        if tied:
+            canonical, automorphisms, _ = _canonical_form(adj)
+            if canonical in words:
+                continue
+            words.add(canonical)
+        yield adj, automorphisms
+
+
+def _class_walk(max_p: int) -> Iterator[Iterable[tuple[list[int], int]]]:
+    """(adjacency bitmasks, automorphism count) of one graph of each
+    isomorphism class of connected graphs on n nodes, one level for each
+    n = 1, ..., max_p; the last level is built as it is read.
 
     Every connected graph on n >= 2 nodes has a non-cut node (an end of a
     longest path).  Take a non-cut node m that minimises (degree, sorted
     neighbour degrees) among them: the graph is a connected graph on
     n - 1 nodes plus m, joined to a non-empty set of them.  So each level
     joins a new last node to non-empty node sets of every class of the
-    level yielded before it, skips the graphs that fail
-    _least_invariant_last, and keeps one graph per canonical word.  Two
-    prunings cut the canonical forms, and each keeps every class:
+    level before it, skips the graphs that fail _least_invariant_last,
+    and keeps one graph per canonical word.  Two prunings cut the
+    extensions, and each keeps every class:
 
     - The rule.  G - m is connected, so its class is in the level
       before, and joining the new node to the nodes that m's neighbours
@@ -582,47 +628,69 @@ def _connected_classes(max_p: int) -> Iterator[dict[int, int]]:
       automorphism group is joined (_orbit_representatives).  If g maps
       one set onto another, g extended by the new node is an isomorphism
       between the two extensions that fixes the new node, so they are
-      one class and the rule keeps both or neither.  The generators come
-      from the parent's _canonical_form, in the labels of its canonical
-      rows; they are kept for the level being extended only.
+      one class and the rule gives both one verdict.  The generators
+      come from the parent's _canonical_form, in the labels of its
+      canonical rows; they are kept for the level being extended only.
+
+    The last level skips most canonical forms (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).  Say no other node
+    of an extension G ties with the new node on the invariant.  An
+    isomorphism from another extension onto G keeps the invariant and
+    maps non-cut nodes onto non-cut nodes, so it maps the new node onto
+    G's and a tie onto a tie: that extension has no tie either.  It then
+    maps its parent onto P = G - (new node), which is the same class, so
+    the same rows, and its joined set onto G's set S by an automorphism
+    of P; by the orbit pruning the two extensions are one.  So the class
+    is reached once, and never through a tie.  Taking the two graphs
+    equal, every automorphism of G fixes the new node, so Aut(G) is the
+    stabiliser of S in Aut(P), of order |Aut(P)| / |orbit of S|.  Only
+    the extensions with a tie get a canonical form and a place in a set
+    of words, and only the levels that the next one extends are kept
+    whole.
     """
-    level = {0: 1}  # the single node: word 0, one automorphism
+    yield [([0], 1)]  # the single node
+    level = {0: 1}  # the canonical word of the single node: one automorphism
     generators: dict[int, tuple[bytes, ...]] = {}  # only for nontrivial groups
-    yield level
     for n in range(1, max_p):
-        top = 1 << n
+        extensions = _extensions(level, generators, n)
+        if n + 1 == max_p:
+            yield _last_level(extensions)
+            return
         grown: dict[int, int] = {}
         grown_generators = {}
-        for word in level:
-            rows = _rows(word, n)
-            for joined in _orbit_representatives(generators.pop(word, ()), n):
-                adj = rows + [joined]
-                for v in _MEMBERS[joined]:
-                    adj[v] |= top
-                if _least_invariant_last(adj):
-                    canonical, automorphisms, found = _canonical_form(adj)
-                    if canonical not in grown:
-                        grown[canonical] = automorphisms
-                        if found and n + 1 < max_p:
-                            grown_generators[canonical] = found
-        yield grown
+        for adj, _, _ in extensions:
+            canonical, automorphisms, found = _canonical_form(adj)
+            if canonical not in grown:
+                grown[canonical] = automorphisms
+                if found:
+                    grown_generators[canonical] = found
         level, generators = grown, grown_generators
+        yield [(_rows(word, n + 1), automorphisms) for word, automorphisms in level.items()]
+
+
+def _connected_classes(max_p: int) -> Iterator[dict[int, int]]:
+    """{canonical word: automorphism count} of the isomorphism classes of
+    connected graphs on n nodes, one level for each n = 1, ..., max_p:
+    the graphs of _class_walk, each named by its canonical word."""
+    for level in _class_walk(max_p):
+        yield {_canonical_form(adj)[0]: automorphisms for adj, automorphisms in level}
 
 
 def bound_violation_counts(max_p: int) -> Iterator[tuple[int, int, int]]:
     """(p, labeled connected graphs, labeled nodes outside the status
     bounds) for p = 1, ..., max_p <= MAX_VERIFY_NODES, each row as soon
-    as one walk has built the classes on p nodes.
+    as one walk (_class_walk) has built the classes on p nodes.
 
     One graph per isomorphism class is checked, with a BFS from every
     node and no pruning, since a status multiset does not depend on the
-    labels; the class stands for its p!/|Aut| labeled graphs.
+    labels; the class stands for its p!/|Aut| labeled graphs.  On the
+    last level most graphs are extensions whose |Aut| comes from the
+    parent's group, with no canonical form.
     """
     _check_enumeration_size(max_p, "verification", MAX_VERIFY_NODES)
-    for p, level in enumerate(_connected_classes(max_p), 1):
+    for p, level in enumerate(_class_walk(max_p), 1):
         graphs = violations = 0
-        for word, automorphisms in level.items():
-            adj = _rows(word, p)
+        for adj, automorphisms in level:
             labelings = factorial(p) // automorphisms
             lower, upper = status_bounds_values(p, sum(row.bit_count() for row in adj) // 2)
             graphs += labelings
@@ -647,8 +715,9 @@ def _upper_witness(p: int, q: int) -> tuple[list[tuple[int, int]], int]:
 
 
 def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
-    """Witness nodes of the lower and the upper status bound on p <= 7
-    nodes and q edges, for every q with p - 1 <= q <= p(p-1)/2.
+    """Witness nodes of the lower and the upper status bound on
+    p <= MAX_EXTREMAL_NODES nodes and q edges, for every q with
+    p - 1 <= q <= p(p-1)/2.
 
     Each witness is the first node that attains its bound in the first
     connected labeled graph (edge combinations in lexicographic order)
@@ -684,7 +753,7 @@ def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
     out).  The far end of the path is the first node at the bound.
     Both witnesses share one graph when their edges agree.
     """
-    _check_enumeration_size(p, "search")
+    _check_enumeration_size(p, "search", MAX_EXTREMAL_NODES)
     if isinstance(q, bool) or not isinstance(q, int) or not p - 1 <= q <= p * (p - 1) // 2:
         raise GraphError(
             f"q={q!r} outside the feasible range [{p - 1}, {p * (p - 1) // 2}] for p={p}"

@@ -125,13 +125,25 @@ def oracle_connected_edge_count(n, k):
 
 def oracle_automorphisms(p, edges):
     """The permutations of the nodes 0..p-1 (perm[v] the image of v) that
-    map the edge set onto itself, found by trying all p! of them."""
-    edge_set = {frozenset(edge) for edge in edges}
-    return [
-        perm
-        for perm in permutations(range(p))
-        if all(frozenset((perm[u], perm[v])) in edge_set for u, v in edges)
-    ]
+    map the edge set onto itself, in lexicographic order: every partial
+    map of 0..v-1 is extended by each unused image of v that keeps each
+    pair u, v (u < v) an edge exactly when its image is one."""
+    adjacent = set(edges) | {(v, u) for u, v in edges}
+    found = []
+
+    def extend(perm):
+        v = len(perm)
+        if v == p:
+            found.append(tuple(perm))
+            return
+        for target in range(p):
+            if target not in perm and all(
+                ((u, v) in adjacent) == ((perm[u], target) in adjacent) for u in range(v)
+            ):
+                extend(perm + [target])
+
+    extend([])
+    return found
 
 
 def oracle_automorphism_count(p, edges):

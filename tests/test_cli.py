@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tgstatus import finite_graph
 from tgstatus.cli import main
-from tgstatus.finite_graph import MAX_VERIFY_NODES
+from tgstatus.finite_graph import MAX_EXTREMAL_NODES, MAX_VERIFY_NODES
 
 from helpers import document_text, random_document
 
@@ -433,6 +433,20 @@ class TestExtremal:
 
     def test_infeasible(self):
         assert run("extremal", "--p", 4, "--q", 2).exit_code == 2
+
+    def test_node_cap(self):
+        for p in (8, MAX_EXTREMAL_NODES):
+            result = run("extremal", "--p", p, "--q", p, "--json")
+            assert result.exit_code == 0, p
+            obj = json.loads(result.output)
+            bounds = (p - 1, (p - 1) * (p + 2) // 2 - p)
+            assert (obj["lower"]["status"], obj["upper"]["status"]) == bounds
+            assert len(obj["upper"]["nodes"]) == p and len(obj["upper"]["edges"]) == p
+        p = MAX_EXTREMAL_NODES + 1
+        result = run("extremal", "--p", p, "--q", p)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: search supports 1 <= p <= {MAX_EXTREMAL_NODES}, got {p}\n"
 
     def test_unknown_flag_and_command(self):
         assert run("extremal", "--p", 4).exit_code == 2

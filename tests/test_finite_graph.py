@@ -15,9 +15,12 @@ from tgstatus.finite_graph import (
     FiniteGraph,
     GraphError,
     MAX_ENUMERATION_NODES,
+    MAX_EXTREMAL_NODES,
     MAX_VERIFY_NODES,
     _canonical_form,
+    _class_walk,
     _connected_classes,
+    _extensions,
     _labeled_graphs,
     _least_invariant_last,
     _orbit_representatives,
@@ -375,7 +378,10 @@ class TestIsomorphismClasses:
         assert not _least_invariant_last(adj)
         # The path: both ends have (1, [2]), an equal invariant.
         _, _, adj = graph_of_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert _least_invariant_last(adj)
+        assert _least_invariant_last(adj) == 2
+        # A triangle with a pendant last node: no other node has (1, [3]).
+        _, _, adj = graph_of_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+        assert _least_invariant_last(adj) == 1
         # Triangles 0, 1, 2 and 6, 7, 8 joined by the path 0 3 4 5 6: the
         # cut node 4 has (2, [2, 2]), less than the (2, [2, 3]) of the last
         # node and of every non-cut node, and it is ignored.
@@ -419,30 +425,76 @@ class TestIsomorphismClasses:
                     assert {tuple(sorted((g[i], g[j]))) for i, j in edges} == edges, (p, word)
                 count = oracle_automorphism_count(p, edges)
                 assert len(oracle_generated_group(p, generators)) == count == automorphisms
-                kept = list(_orbit_representatives(generators, p))
+                kept = _orbit_representatives(generators, p)
                 orbits = oracle_node_set_orbits(p, oracle_automorphisms(p, edges))
-                assert kept == sorted(min(orbit) for orbit in orbits), (p, word)
+                assert list(kept) == sorted(min(orbit) for orbit in orbits), (p, word)
+                assert kept == {min(orbit): len(orbit) for orbit in orbits}, (p, word)
 
-    @pytest.mark.parametrize("max_p, calls", [(6, 143), (7, 1028)])
+    @pytest.mark.parametrize("max_p, calls", [(6, 86), (7, 463)])
     def test_verify_ejs_builds_each_level_once(self, max_p, calls, monkeypatch):
-        # One walk builds each level n >= 2 once, with one canonical form
-        # per extension of a class on n - 1 nodes that orbit pruning and
-        # _least_invariant_last keep; building the levels again for every
-        # p takes 186 and 1,214.
-        counted = []
+        # One walk builds each level 2..max_p-1 once, with one canonical
+        # form per extension of a class on one node fewer that orbit
+        # pruning and _least_invariant_last keep.  On the last level only
+        # the extensions whose new node ties with another node on the
+        # invariant get one (143 and 1,028 when every extension did).
+        counted, ties = [], []
 
         def counting(adj):
             counted.append(len(adj))
             return _canonical_form(adj)
 
+        def recording(adj):
+            verdict = _least_invariant_last(adj)
+            ties.append(len(adj) == max_p and verdict == 2)
+            return verdict
+
         monkeypatch.setattr(finite_graph, "_canonical_form", counting)
+        monkeypatch.setattr(finite_graph, "_least_invariant_last", recording)
         result = CliRunner().invoke(main, ["verify-ejs", "--max-p", str(max_p)])
         assert result.exit_code == 0
         assert len(counted) == calls
         if max_p == 6:
-            # The single node needs no search, and of the 142 classes on
-            # 2..6 nodes one is reached twice, so the count is the class count.
-            assert len(counted) == sum(CONNECTED_CLASSES[:6])
+            # The single node needs no search, and the 30 classes on 2..5
+            # nodes are each reached once, so the count is those classes
+            # plus the tied extensions on 6 nodes.
+            assert [counted.count(n) for n in range(2, 6)] == CONNECTED_CLASSES[1:5]
+            assert len(counted) == sum(CONNECTED_CLASSES[1:5]) + sum(ties)
+
+    @pytest.mark.parametrize("max_p", [1, 2, 3, 4, 5, 6, 7])
+    def test_last_level_rows_match_the_full_walk(self, max_p):
+        # Row max_p of bound_violation_counts(max_p) comes from the last
+        # level, without most canonical forms; bound_violation_counts(7)
+        # builds that level whole, with one canonical form per extension.
+        assert list(bound_violation_counts(max_p)) == list(bound_violation_counts(7))[:max_p]
+
+    def test_last_level_sums_to_the_labeled_count_of_every_edge_count(self):
+        for p in range(1, 8):
+            *_, last = _class_walk(p)
+            labeled = Counter()
+            for adj, automorphisms in last:
+                labeled[sum(row.bit_count() for row in adj) // 2] += factorial(p) // automorphisms
+            expected = [oracle_connected_edge_count(p, q) for q in range(comb(p, 2) + 1)]
+            assert [labeled[q] for q in range(comb(p, 2) + 1)] == expected, p
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
+    def test_unique_extensions_need_no_canonical_form(self, p):
+        # Every extension on p nodes that the rule keeps with no tie has
+        # |Aut(P)| / |orbit| automorphisms and is its class's only
+        # extension; its class is reached through no tied extension.
+        parents = list(_connected_classes(p - 1))[-1]
+        generators = {word: _canonical_form(rows_of(word, p - 1))[2] for word in parents}
+        unique, tied = [], set()
+        for adj, automorphisms, has_tie in _extensions(parents, generators, p - 1):
+            canonical = _canonical_form(adj)[0]
+            if has_tie:
+                tied.add(canonical)
+                continue
+            edges = [(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
+            assert automorphisms == oracle_automorphism_count(p, edges), (p, edges)
+            unique.append(canonical)
+        assert len(set(unique)) == len(unique)
+        assert not tied & set(unique)
+        assert len(unique) + len(tied) == CONNECTED_CLASSES[p - 1]
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_violations_count_labeled_nodes(self, p, monkeypatch):
@@ -611,20 +663,35 @@ class TestExtremalSearch:
         assert attained == feasible
 
     def test_construction_past_the_cap(self):
-        # The uncapped construction for every feasible q on p <= 30 nodes:
-        # q distinct sorted edges of a connected graph, a witness at the
-        # upper bound on a path into a clique, and for p <= 12 no
-        # lower-numbered node at the bound.
-        for p in range(1, 31):
+        # The construction for every feasible q on p <= 60 nodes: a
+        # witness at the upper bound by the oracle.  For p <= 30 also q
+        # distinct sorted edges, a path into a clique at the witness, and
+        # for p <= 12 no lower-numbered node at the bound.
+        for p in range(1, 61):
             for q in range(p - 1, p * (p - 1) // 2 + 1):
                 edges, x = _upper_witness(p, q)
-                assert len(edges) == len(set(edges)) == q and edges == sorted(edges), (p, q)
-                assert all(0 <= u < v < p for u, v in edges), (p, q)
                 upper = status_bounds_values(p, q)[1]
                 assert oracle_status(range(p), edges, x) == upper, (p, q)
+                if p > 30:
+                    continue
+                assert len(edges) == len(set(edges)) == q and edges == sorted(edges), (p, q)
+                assert all(0 <= u < v < p for u, v in edges), (p, q)
                 assert is_path_into_clique(range(p), edges, x), (p, q)
                 if p <= 12:
                     assert all(oracle_status(range(p), edges, v) != upper for v in range(x)), (p, q)
+
+    def test_search_past_the_enumeration_cap(self):
+        # Both witnesses by the oracle, for every feasible q on 8..12
+        # nodes and for a few q on MAX_EXTREMAL_NODES nodes.
+        top = MAX_EXTREMAL_NODES
+        cases = [(p, q) for p in range(8, 13) for q in range(p - 1, p * (p - 1) // 2 + 1)]
+        cases += [(top, q) for q in (top - 1, top, 2 * top, comb(top, 2) - 1, comb(top, 2))]
+        for p, q in cases:
+            lower, upper = extremal_search(p, q)
+            for witness, bound in zip((lower, upper), status_bounds_values(p, q)):
+                g = witness.graph
+                assert g.nodes == tuple(f"v{i}" for i in range(1, p + 1)) and g.q == q, (p, q)
+                assert oracle_status(g.nodes, g.edges, witness.node) == witness.status == bound
 
     def test_deterministic(self):
         first = extremal_search(4, 4)
@@ -638,7 +705,7 @@ class TestExtremalSearch:
         with pytest.raises(GraphError):
             extremal_search(4, 7)
         with pytest.raises(GraphError):
-            extremal_search(8, 7)
+            extremal_search(MAX_EXTREMAL_NODES + 1, MAX_EXTREMAL_NODES)
         for p, q in [(True, 0), (False, 0), (1, False), (2, True), (3, 2.5), (3, "2")]:
             with pytest.raises(GraphError):
                 extremal_search(p, q)
