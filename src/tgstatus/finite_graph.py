@@ -14,8 +14,9 @@ bounds, built in closed form.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -513,31 +514,31 @@ def _spans(adj: Sequence[int], nodes: int) -> bool:
 def _least_invariant_last(adj: Sequence[int]) -> int:
     """0 when a non-cut node (one whose deletion leaves the graph
     connected) has a smaller (degree, sorted neighbour degrees) than the
-    last node; otherwise 2 when another node has the same, and 1 when
-    none does.  Neighbour degrees are compared only on a degree tie."""
+    last node, which the caller knows to be non-cut; otherwise the
+    number of non-cut nodes that have the same, the last one included.
+    Neighbour degrees are compared only on a degree tie, and a tied node
+    is tried for a cut only when no smaller non-cut node turns up."""
     last = len(adj) - 1
     nodes = (1 << len(adj)) - 1
-    degree = adj[last].bit_count()
+    degrees = [row.bit_count() for row in adj]
+    degree = degrees[last]
     profile = None
-    tied = False
-
-    def neighbour_degrees(v: int) -> list[int]:
-        return sorted(adj[u].bit_count() for u in _MEMBERS[adj[v]])
-
+    ties = []
     for u in range(last):
-        if adj[u].bit_count() > degree:
+        if degrees[u] > degree:
             continue
-        if adj[u].bit_count() == degree:
+        if degrees[u] == degree:
             if profile is None:
-                profile = neighbour_degrees(last)
-            other = neighbour_degrees(u)
+                profile = sorted(degrees[v] for v in _MEMBERS[adj[last]])
+            other = sorted(degrees[v] for v in _MEMBERS[adj[u]])
             if other == profile:
-                tied = True
-            if other >= profile:
+                ties.append(u)
+                continue
+            if other > profile:
                 continue
         if _spans(adj, nodes ^ 1 << u):
             return 0
-    return 2 if tied else 1
+    return 1 + sum(_spans(adj, nodes ^ 1 << u) for u in ties)
 
 
 def _orbit_representatives(generators: Sequence[Sequence[int]], n: int) -> dict[int, int]:
@@ -571,12 +572,12 @@ def _orbit_representatives(generators: Sequence[Sequence[int]], n: int) -> dict[
 
 def _extensions(
     level: dict[int, int], generators: dict[int, tuple[bytes, ...]], n: int
-) -> Iterator[tuple[list[int], int, bool]]:
-    """(adjacency, |Aut(P)| / |orbit of S|, whether another node ties with
-    the new one) of each graph that joins a new node n to the least set S
-    of an orbit of Aut(P), for each class P on n nodes (the rows of a
-    word of level), and passes _least_invariant_last.  The generators of
-    each class's group are popped as it is extended."""
+) -> Iterator[tuple[list[int], int, int]]:
+    """(adjacency, |Aut(P)| / |orbit of S|, _least_invariant_last) of each
+    graph that joins a new node n to the least set S of an orbit of
+    Aut(P), for each class P on n nodes (the rows of a word of level),
+    and passes _least_invariant_last.  The generators of each class's
+    group are popped as it is extended."""
     top = 1 << n
     for word, automorphisms in level.items():
         rows = _rows(word, n)
@@ -584,42 +585,27 @@ def _extensions(
             adj = rows + [joined]
             for v in _MEMBERS[joined]:
                 adj[v] |= top
-            verdict = _least_invariant_last(adj)
-            if verdict:
-                yield adj, automorphisms // orbit, verdict == 2
+            ties = _least_invariant_last(adj)
+            if ties:
+                yield adj, automorphisms // orbit, ties
 
 
-def _last_level(
-    extensions: Iterator[tuple[list[int], int, bool]]
-) -> Iterator[tuple[list[int], int]]:
-    """(adjacency, automorphism count) of one graph per class among the
-    extensions: each untied one as it comes, a tied one when its
-    canonical word is new."""
-    words: set[int] = set()
-    for adj, automorphisms, tied in extensions:
-        if tied:
-            canonical, automorphisms, _ = _canonical_form(adj)
-            if canonical in words:
-                continue
-            words.add(canonical)
-        yield adj, automorphisms
-
-
-def _class_walk(max_p: int) -> Iterator[Iterable[tuple[list[int], int]]]:
-    """(adjacency bitmasks, automorphism count) of one graph of each
-    isomorphism class of connected graphs on n nodes, one level for each
-    n = 1, ..., max_p; the last level is built as it is read.
+def _class_walk(max_p: int) -> Iterator[Iterable[tuple[list[int], int, int]]]:
+    """(adjacency bitmasks, stabiliser order s, tie count c) of connected
+    graphs on n nodes, one level for each n = 1, ..., max_p; the last
+    level is built as it is read.  For every connected graph G on n
+    nodes, 1/(s*c) summed over the graphs of level n isomorphic to G is
+    1/|Aut G|.
 
     Every connected graph on n >= 2 nodes has a non-cut node (an end of a
-    longest path).  Take a non-cut node m that minimises (degree, sorted
-    neighbour degrees) among them: the graph is a connected graph on
-    n - 1 nodes plus m, joined to a non-empty set of them.  So each level
+    longest path).  Let C(G) be the non-cut nodes of G that share the
+    least (degree, sorted neighbour degrees) among them.  Each level
     joins a new last node to non-empty node sets of every class of the
-    level before it, skips the graphs that fail _least_invariant_last,
-    and keeps one graph per canonical word.  Two prunings cut the
-    extensions, and each keeps every class:
+    level before it, and keeps the graphs whose new node lies in C
+    (_least_invariant_last).  Two prunings cut the extensions, and each
+    keeps every rooted class (G, m) with m in C(G):
 
-    - The rule.  G - m is connected, so its class is in the level
+    - The rule.  G - m is connected, so its class P is in the level
       before, and joining the new node to the nodes that m's neighbours
       become there gives G again, with the new node in m's place.  The
       invariant does not depend on labels, so that extension passes
@@ -628,33 +614,37 @@ def _class_walk(max_p: int) -> Iterator[Iterable[tuple[list[int], int]]]:
       automorphism group is joined (_orbit_representatives).  If g maps
       one set onto another, g extended by the new node is an isomorphism
       between the two extensions that fixes the new node, so they are
-      one class and the rule gives both one verdict.  The generators
-      come from the parent's _canonical_form, in the labels of its
-      canonical rows; they are kept for the level being extended only.
+      one rooted class.  The generators come from the parent's
+      _canonical_form, in the labels of its canonical rows; they are
+      kept for the level being extended only.
 
-    The last level skips most canonical forms (McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 26, 1998).  Say no other node
-    of an extension G ties with the new node on the invariant.  An
-    isomorphism from another extension onto G keeps the invariant and
-    maps non-cut nodes onto non-cut nodes, so it maps the new node onto
-    G's and a tie onto a tie: that extension has no tie either.  It then
-    maps its parent onto P = G - (new node), which is the same class, so
-    the same rows, and its joined set onto G's set S by an automorphism
-    of P; by the orbit pruning the two extensions are one.  So the class
-    is reached once, and never through a tie.  Taking the two graphs
-    equal, every automorphism of G fixes the new node, so Aut(G) is the
-    stabiliser of S in Aut(P), of order |Aut(P)| / |orbit of S|.  Only
-    the extensions with a tie get a canonical form and a place in a set
-    of words, and only the levels that the next one extends are kept
-    whole.
+    Conversely, an isomorphism between two extensions that maps the one
+    new node onto the other maps the one parent onto the other.  The
+    parents are one class, so they have the same rows, and it maps the
+    one joined set onto the other by an automorphism of P: by the orbit
+    pruning the two extensions are one.  So the walk reaches each rooted
+    class exactly once.  Taking the two
+    extensions equal, the automorphisms of G that fix the new node are
+    the stabiliser of S in Aut(P), of order s = |Aut(P)| / |orbit of S|.
+    The rooted classes of G are the orbits of Aut(G) on C(G), and the
+    orbit of m has |Aut G| / s nodes, so 1/s summed over the extensions
+    isomorphic to G is |C(G)| / |Aut G|.  |C(G)| does not depend on the
+    labels, so each extension reads it off itself: it is the c that
+    _least_invariant_last returns.  No automorphism of G and no canonical
+    form is needed (canonical augmentation, McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).
+
+    Only the levels that the next one extends are kept whole, with one
+    graph per canonical word, since the next level's orbit pruning needs
+    their generators; each of their graphs has s = |Aut G| and c = 1.
     """
-    yield [([0], 1)]  # the single node
+    yield [([0], 1, 1)]  # the single node
     level = {0: 1}  # the canonical word of the single node: one automorphism
     generators: dict[int, tuple[bytes, ...]] = {}  # only for nontrivial groups
     for n in range(1, max_p):
         extensions = _extensions(level, generators, n)
         if n + 1 == max_p:
-            yield _last_level(extensions)
+            yield extensions
             return
         grown: dict[int, int] = {}
         grown_generators = {}
@@ -665,37 +655,47 @@ def _class_walk(max_p: int) -> Iterator[Iterable[tuple[list[int], int]]]:
                 if found:
                     grown_generators[canonical] = found
         level, generators = grown, grown_generators
-        yield [(_rows(word, n + 1), automorphisms) for word, automorphisms in level.items()]
+        yield [(_rows(word, n + 1), automorphisms, 1) for word, automorphisms in level.items()]
 
 
 def _connected_classes(max_p: int) -> Iterator[dict[int, int]]:
     """{canonical word: automorphism count} of the isomorphism classes of
     connected graphs on n nodes, one level for each n = 1, ..., max_p:
-    the graphs of _class_walk, each named by its canonical word."""
+    the graphs of _class_walk, each named by its _canonical_form."""
     for level in _class_walk(max_p):
-        yield {_canonical_form(adj)[0]: automorphisms for adj, automorphisms in level}
+        yield dict(_canonical_form(adj)[:2] for adj, _, _ in level)
 
 
 def bound_violation_counts(max_p: int) -> Iterator[tuple[int, int, int]]:
     """(p, labeled connected graphs, labeled nodes outside the status
     bounds) for p = 1, ..., max_p <= MAX_VERIFY_NODES, each row as soon
-    as one walk (_class_walk) has built the classes on p nodes.
+    as one walk (_class_walk) has built its level on p nodes.
 
-    One graph per isomorphism class is checked, with a BFS from every
-    node and no pruning, since a status multiset does not depend on the
-    labels; the class stands for its p!/|Aut| labeled graphs.  On the
-    last level most graphs are extensions whose |Aut| comes from the
-    parent's group, with no canonical form.
+    A status multiset does not depend on the labels, so each graph of
+    the walk is checked with a BFS from every node and no pruning, and
+    counts for p!/(s*c) labeled graphs: for each class G these sum to
+    p!/|Aut G|, the labeled graphs isomorphic to G.  The sums stay exact
+    integers.  s is the order of a group of permutations of at most p
+    nodes, so p!/s is an integer.  The graphs with one tie count c are
+    whole classes, and the graphs of a class share their statuses, so
+    the sums over them of p!/s and of p!/s times the nodes outside the
+    bounds are c times the labeled graphs and nodes of those classes;
+    each is divided by c once per level.
     """
     _check_enumeration_size(max_p, "verification", MAX_VERIFY_NODES)
     for p, level in enumerate(_class_walk(max_p), 1):
-        graphs = violations = 0
-        for adj, automorphisms in level:
-            labelings = factorial(p) // automorphisms
+        graphs: Counter[int] = Counter()  # keyed by the tie count
+        violations: Counter[int] = Counter()
+        for adj, stabiliser, ties in level:
+            labelings = factorial(p) // stabiliser
             lower, upper = status_bounds_values(p, sum(row.bit_count() for row in adj) // 2)
-            graphs += labelings
-            violations += labelings * sum(not lower <= s <= upper for s in _statuses(adj))
-        yield p, graphs, violations
+            graphs[ties] += labelings
+            violations[ties] += labelings * sum(not lower <= s <= upper for s in _statuses(adj))
+        yield (
+            p,
+            sum(total // ties for ties, total in graphs.items()),
+            sum(total // ties for ties, total in violations.items()),
+        )
 
 
 def _upper_witness(p: int, q: int) -> tuple[list[tuple[int, int]], int]:
@@ -760,7 +760,7 @@ def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
         )
     names = _node_names(p)
     lower, upper = status_bounds_values(p, q)
-    first = list(combinations(range(p), 2))[:q]
+    first = list(islice(combinations(range(p), 2), q))
     edges, node = _upper_witness(p, q)
     lower_graph = upper_graph = FiniteGraph(names, [(names[i], names[j]) for i, j in first])
     if edges != first:

@@ -384,8 +384,8 @@ class TestVerifyEjs:
         )
 
     def test_max8_golden_matches_a001187(self):
-        # The p = 8 run takes seconds, so the golden is checked against
-        # the sequence here and diffed against the program in CI.
+        # The golden is also diffed against the program, in process
+        # (test_exhaustive_kernel_golden) and in CI.
         counts = LABELED_CONNECTED[:8]
         expected = [f"p={p}: {n} graph{'s' * (n != 1)}, 0 violations" for p, n in enumerate(counts, 1)]
         expected.append(f"checked {sum(counts)} graphs, 0 violations")
@@ -393,7 +393,7 @@ class TestVerifyEjs:
         assert golden("verify_ejs_max7.txt").splitlines()[:7] == expected[:7]
 
     def test_max9_golden_matches_a001187(self):
-        # The p = 9 run takes about a minute, so it runs in CI only.
+        # The p = 9 run takes about 20 s, so it runs in CI only.
         lines = golden("verify_ejs_max9.txt").splitlines()
         assert lines[:8] == golden("verify_ejs_max8.txt").splitlines()[:8]
         assert lines[8:] == [
@@ -676,6 +676,7 @@ KERNEL_GOLDENS = {
     "extremal_p6_q9.json": [("extremal", "--p", 6, "--q", 9, "--json")],
     "verify_ejs_max6.txt": [("verify-ejs", "--max-p", 6)],
     "verify_ejs_max7.txt": [("verify-ejs", "--max-p", 7)],
+    "verify_ejs_max8.txt": [("verify-ejs", "--max-p", 8)],
 }
 
 

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter, defaultdict
+from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
@@ -334,6 +335,28 @@ def rows_of(word, p):
     return [word >> (p * i) & (1 << p) - 1 for i in range(p)]
 
 
+def brute_force_tie_count(adj):
+    """|C| of the graph when its last node is in C, else 0: C is the set
+    of non-cut nodes (by an oracle BFS on the graph without them) that
+    share the least (degree, sorted neighbour degrees) among them."""
+    p = len(adj)
+    edges = [(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
+
+    def invariant(v):
+        neighbours = [u for u in range(p) if adj[v] >> u & 1]
+        return len(neighbours), sorted(bin(adj[u]).count("1") for u in neighbours)
+
+    non_cut = []
+    for v in range(p):
+        rest = [u for u in range(p) if u != v]
+        kept = [(a, b) for a, b in edges if v not in (a, b)]
+        if len(oracle_bfs(rest, kept, rest[0])) == p - 1:
+            non_cut.append(v)
+    least = min(invariant(v) for v in non_cut)
+    ties = [v for v in non_cut if invariant(v) == least]
+    return len(ties) if p - 1 in ties else 0
+
+
 class TestIsomorphismClasses:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_labeled_graphs_fall_into_the_generated_classes(self, p):
@@ -430,71 +453,98 @@ class TestIsomorphismClasses:
                 assert list(kept) == sorted(min(orbit) for orbit in orbits), (p, word)
                 assert kept == {min(orbit): len(orbit) for orbit in orbits}, (p, word)
 
-    @pytest.mark.parametrize("max_p, calls", [(6, 86), (7, 463)])
+    @pytest.mark.parametrize("max_p, calls", [(6, 30), (7, 143)])
     def test_verify_ejs_builds_each_level_once(self, max_p, calls, monkeypatch):
         # One walk builds each level 2..max_p-1 once, with one canonical
         # form per extension of a class on one node fewer that orbit
-        # pruning and _least_invariant_last keep.  On the last level only
-        # the extensions whose new node ties with another node on the
-        # invariant get one (143 and 1,028 when every extension did).
-        counted, ties = [], []
+        # pruning and _least_invariant_last keep, and the last level with
+        # none.
+        counted, kept = [], []
 
         def counting(adj):
             counted.append(len(adj))
             return _canonical_form(adj)
 
         def recording(adj):
-            verdict = _least_invariant_last(adj)
-            ties.append(len(adj) == max_p and verdict == 2)
-            return verdict
+            ties = _least_invariant_last(adj)
+            if ties and len(adj) < max_p:
+                kept.append(len(adj))
+            return ties
 
         monkeypatch.setattr(finite_graph, "_canonical_form", counting)
         monkeypatch.setattr(finite_graph, "_least_invariant_last", recording)
         result = CliRunner().invoke(main, ["verify-ejs", "--max-p", str(max_p)])
         assert result.exit_code == 0
         assert len(counted) == calls
+        assert sorted(counted) == sorted(kept)
         if max_p == 6:
             # The single node needs no search, and the 30 classes on 2..5
-            # nodes are each reached once, so the count is those classes
-            # plus the tied extensions on 6 nodes.
+            # nodes are each reached once.
             assert [counted.count(n) for n in range(2, 6)] == CONNECTED_CLASSES[1:5]
-            assert len(counted) == sum(CONNECTED_CLASSES[1:5]) + sum(ties)
 
     @pytest.mark.parametrize("max_p", [1, 2, 3, 4, 5, 6, 7])
     def test_last_level_rows_match_the_full_walk(self, max_p):
         # Row max_p of bound_violation_counts(max_p) comes from the last
-        # level, without most canonical forms; bound_violation_counts(7)
-        # builds that level whole, with one canonical form per extension.
+        # level, weighted by its rooted extensions; bound_violation_counts(7)
+        # builds that level whole, with one canonical form per class.
         assert list(bound_violation_counts(max_p)) == list(bound_violation_counts(7))[:max_p]
 
     def test_last_level_sums_to_the_labeled_count_of_every_edge_count(self):
         for p in range(1, 8):
             *_, last = _class_walk(p)
             labeled = Counter()
-            for adj, automorphisms in last:
-                labeled[sum(row.bit_count() for row in adj) // 2] += factorial(p) // automorphisms
+            for adj, stabiliser, ties in last:
+                q = sum(row.bit_count() for row in adj) // 2
+                labeled[q] += Fraction(factorial(p), stabiliser * ties)
             expected = [oracle_connected_edge_count(p, q) for q in range(comb(p, 2) + 1)]
             assert [labeled[q] for q in range(comb(p, 2) + 1)] == expected, p
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
     def test_unique_extensions_need_no_canonical_form(self, p):
-        # Every extension on p nodes that the rule keeps with no tie has
-        # |Aut(P)| / |orbit| automorphisms and is its class's only
-        # extension; its class is reached through no tied extension.
+        # For every class G on p nodes, 1/(|Stab(S)| * |C|) summed over
+        # the extensions in G's class is 1/|Aut G|.  An extension with
+        # |C| = 1 is therefore its class's only one, with |Stab(S)| =
+        # |Aut G|.
         parents = list(_connected_classes(p - 1))[-1]
         generators = {word: _canonical_form(rows_of(word, p - 1))[2] for word in parents}
-        unique, tied = [], set()
-        for adj, automorphisms, has_tie in _extensions(parents, generators, p - 1):
+        weights, extensions, unique, edges_of = Counter(), Counter(), set(), {}
+        for adj, stabiliser, ties in _extensions(parents, generators, p - 1):
             canonical = _canonical_form(adj)[0]
-            if has_tie:
-                tied.add(canonical)
-                continue
-            edges = [(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
-            assert automorphisms == oracle_automorphism_count(p, edges), (p, edges)
-            unique.append(canonical)
-        assert len(set(unique)) == len(unique)
-        assert not tied & set(unique)
-        assert len(unique) + len(tied) == CONNECTED_CLASSES[p - 1]
+            weights[canonical] += Fraction(1, stabiliser * ties)
+            extensions[canonical] += 1
+            edges_of[canonical] = [
+                (i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1
+            ]
+            if ties == 1:
+                unique.add(canonical)
+                assert stabiliser == oracle_automorphism_count(p, edges_of[canonical]), adj
+        assert len(weights) == CONNECTED_CLASSES[p - 1]
+        for canonical, weight in weights.items():
+            automorphisms = oracle_automorphism_count(p, edges_of[canonical])
+            assert weight == Fraction(1, automorphisms), (p, edges_of[canonical])
+        assert all(extensions[canonical] == 1 for canonical in unique)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
+    def test_tie_count_matches_brute_force(self, p):
+        # Every node set joined to a new node of every class on p - 1
+        # nodes; a node is non-cut when an oracle BFS on the rest reaches
+        # every other node.
+        for word in list(_connected_classes(p - 1))[-1]:
+            rows = rows_of(word, p - 1)
+            for joined in range(1, 1 << (p - 1)):
+                adj = [row | (joined >> v & 1) << (p - 1) for v, row in enumerate(rows)]
+                adj.append(joined)
+                assert _least_invariant_last(adj) == brute_force_tie_count(adj), (p, adj)
+
+    def test_tie_count_skips_a_cut_node_that_ties(self):
+        # Triangles 0 1 2 and 5 6 7 joined by the path 2 3 4 5.  The cut
+        # nodes 3 and 4 share (2, [2, 3]) with the non-cut nodes 0, 1, 6
+        # and 7, the least of those; |C| = 4, not 6.  No class on fewer
+        # nodes has a cut node tied with the least non-cut invariant.
+        edges = [(0, 1), (0, 2), (1, 2), (5, 6), (5, 7), (6, 7), (2, 3), (3, 4), (4, 5)]
+        _, _, adj = graph_of_edges(8, edges)
+        assert brute_force_tie_count(adj) == 4
+        assert _least_invariant_last(adj) == 4
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_violations_count_labeled_nodes(self, p, monkeypatch):
