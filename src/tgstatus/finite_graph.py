@@ -52,39 +52,48 @@ class FiniteGraph:
 
     Nodes keep declaration order; edges are stored as sorted id pairs in
     insertion order.  Self-loops, duplicate edges and undeclared
-    endpoints are rejected at construction.  The graph is immutable, so
+    endpoints are rejected at construction.  Searches run on node
+    indices: node i is ``nodes[i]``, and its neighbours are kept as a
+    list of indices in edge insertion order.  The graph is immutable, so
     ``is_connected`` keeps its first answer.
     """
 
-    __slots__ = ("_nodes", "_edges", "_edge_set", "_adj", "_connected")
+    __slots__ = ("_nodes", "_index", "_edges", "_edge_set", "_nbrs", "_connected")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         node_list = list(nodes)
-        seen: set[str] = set()
-        for node in node_list:
-            if node in seen:
-                raise GraphError(f"duplicate node id {node!r}")
-            seen.add(node)
-        adj: dict[str, list[str]] = {node: [] for node in node_list}
+        index = {node: i for i, node in enumerate(node_list)}
+        if len(index) < len(node_list):
+            seen: set[str] = set()
+            for node in node_list:
+                if node in seen:
+                    raise GraphError(f"duplicate node id {node!r}")
+                seen.add(node)
+        nbrs: list[list[int]] = [[] for _ in node_list]
         edge_list: list[tuple[str, str]] = []
         edge_set: set[tuple[str, str]] = set()
         for u, v in edges:
-            if u not in adj or v not in adj:
-                missing = u if u not in adj else v
-                raise GraphError(f"edge ({u!r}, {v!r}) references undeclared node {missing!r}")
-            if u == v:
+            try:
+                i, j = index[u], index[v]
+            except KeyError:
+                missing = u if u not in index else v
+                raise GraphError(
+                    f"edge ({u!r}, {v!r}) references undeclared node {missing!r}"
+                ) from None
+            if i == j:
                 raise GraphError(f"self-loop at {u!r}")
             pair = (u, v) if u <= v else (v, u)
             if pair in edge_set:
                 raise GraphError(f"duplicate edge {pair!r}")
             edge_set.add(pair)
             edge_list.append(pair)
-            adj[u].append(v)
-            adj[v].append(u)
+            nbrs[i].append(j)
+            nbrs[j].append(i)
         self._nodes = tuple(node_list)
+        self._index = index
         self._edges = tuple(edge_list)
         self._edge_set = frozenset(edge_set)
-        self._adj = {node: tuple(nbrs) for node, nbrs in adj.items()}
+        self._nbrs = nbrs
         self._connected: bool | None = None
 
     @property
@@ -103,17 +112,22 @@ class FiniteGraph:
     def q(self) -> int:
         return len(self._edges)
 
+    def _node_index(self, node: str) -> int:
+        i = self._index.get(node)
+        if i is None:
+            raise GraphError(f"unknown node {node!r}")
+        return i
+
     def has_edge(self, u: str, v: str) -> bool:
         pair = (u, v) if u <= v else (v, u)
         return pair in self._edge_set
 
     def neighbors(self, node: str) -> tuple[str, ...]:
-        if node not in self._adj:
-            raise GraphError(f"unknown node {node!r}")
-        return self._adj[node]
+        nodes = self._nodes
+        return tuple([nodes[j] for j in self._nbrs[self._node_index(node)]])
 
     def degree(self, node: str) -> int:
-        return len(self.neighbors(node))
+        return len(self._nbrs[self._node_index(node)])
 
     def is_connected(self) -> bool:
         """True when every node is reachable from every other.
@@ -121,8 +135,8 @@ class FiniteGraph:
         Empty and single-node graphs count as connected.
         """
         if self._connected is None:
-            self._connected = len(self._nodes) <= 1 or all(
-                d is not None for d in self.bfs_distances(self._nodes[0]).values()
+            self._connected = len(self._nodes) <= 1 or (
+                None not in self.bfs_distances(self._nodes[0]).values()
             )
         return self._connected
 
@@ -133,25 +147,23 @@ class FiniteGraph:
         until: every node at most that far from source is labeled
         exactly, and every farther node maps to None.
         """
-        adj = self._adj
-        if source not in adj:
-            raise GraphError(f"unknown node {source!r}")
-        if until is not None and until not in adj:
-            raise GraphError(f"unknown node {until!r}")
-        dist: dict[str, int | None] = dict.fromkeys(self._nodes)
-        dist[source] = 0
-        frontier = [source]
+        start = self._node_index(source)
+        stop = -1 if until is None else self._node_index(until)
+        nbrs = self._nbrs
+        dist: list[int | None] = [None] * len(nbrs)
+        dist[start] = 0
+        frontier = [start]
         level = 0
-        while frontier and (until is None or dist[until] is None):
+        while frontier and (stop < 0 or dist[stop] is None):
             level += 1
             reached = []
             for u in frontier:
-                for v in adj[u]:
+                for v in nbrs[u]:
                     if dist[v] is None:
                         dist[v] = level
                         reached.append(v)
             frontier = reached
-        return dist
+        return dict(zip(self._nodes, dist))
 
     def hop_distance(self, a: str, b: str) -> int | None:
         """Hop distance between a and b; None when they are not connected.
@@ -162,26 +174,28 @@ class FiniteGraph:
         a node the step reaches in the other ball closes a path of at
         most hops + 1, which is therefore the distance.
         """
-        adj = self._adj
-        for node in (a, b):
-            if node not in adj:
-                raise GraphError(f"unknown node {node!r}")
-        if a == b:
+        i = self._node_index(a)
+        j = self._node_index(b)
+        if i == j:
             return 0
-        frontier, other_frontier = [a], [b]
-        seen, other_seen = {a}, {b}
+        nbrs = self._nbrs
+        # side[v] is 0 for a node neither ball holds, else the mark of its ball.
+        side = bytearray(len(nbrs))
+        side[i], side[j] = 1, 2
+        frontier, other_frontier = [i], [j]
+        mark, other_mark = 1, 2
         hops = 0
         while frontier and other_frontier:
             if len(frontier) > len(other_frontier):
                 frontier, other_frontier = other_frontier, frontier
-                seen, other_seen = other_seen, seen
+                mark, other_mark = other_mark, mark
             reached = []
             for u in frontier:
-                for v in adj[u]:
-                    if v not in seen:
-                        if v in other_seen:
+                for v in nbrs[u]:
+                    if side[v] != mark:
+                        if side[v]:
                             return hops + 1
-                        seen.add(v)
+                        side[v] = mark
                         reached.append(v)
             frontier = reached
             hops += 1
@@ -189,12 +203,10 @@ class FiniteGraph:
 
     def status(self, node: str) -> int:
         """Sum of distances from node to all other nodes; needs connectivity."""
-        total = 0
-        for d in self.bfs_distances(node).values():
-            if d is None:
-                raise GraphError("status is undefined on a disconnected graph")
-            total += d
-        return total
+        distances = self.bfs_distances(node).values()
+        if None in distances:
+            raise GraphError("status is undefined on a disconnected graph")
+        return sum(distances)
 
     def status_bounds(self) -> "BoundsResult":
         if self.p < 1:

@@ -18,7 +18,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterator
+from typing import Any, NoReturn
 
 from .finite_graph import FiniteGraph, GraphError
 
@@ -76,11 +76,10 @@ class MuNode:
         Several tips into one section collapse to a single incidence, so
         the replacement graph stays simple.
         """
-        seen: list[str] = []
+        homes: dict[str, None] = {}  # a repeated key keeps its first place
         for tip in self.tips:
-            if tip.section not in seen:
-                seen.append(tip.section)
-        return tuple(seen)
+            homes[tip.section] = None
+        return tuple(homes)
 
 
 @dataclass(frozen=True)
@@ -154,9 +153,12 @@ class TransfiniteGraph:
         zero_node = {element: node for node, (_, element) in origin.items()}
         members: dict[str, list[str]] = {section.id: [] for section in self.sections}
         for mu_node in self.nonsingleton_mu_nodes:
-            for home in mu_node.incident_sections:
-                if home in members:
-                    members[home].append(mu_node.id)
+            mu_id = mu_node.id
+            for tip in mu_node.tips:
+                joined = members.get(tip.section)
+                # Mu-nodes join in turn, so a home that repeats has this one last.
+                if joined is not None and (not joined or joined[-1] != mu_id):
+                    joined.append(mu_id)
         edges = [(zero_node[home], mu_id) for home, mu_ids in members.items() for mu_id in mu_ids]
         edges += [(zero_node[h], m.id) for m in singletons for h in m.incident_sections if h in members]
         return FiniteGraph(origin, edges), zero_node, origin
@@ -268,24 +270,33 @@ def _check_id(identifier: str, context: str, noun: str = "id") -> None:
         )
 
 
-def _records(
-    entries: list[Any], keys: set[str], ids: set[str],
-    outer: str, inner: str, noun: str = "entries",
-) -> Iterator[tuple[dict[str, Any], str]]:
-    """Each record object of an array with its id, which is claimed in ``ids``.
+def _claim(raw: Any, keys: set[str], ids: set[str]) -> str | None:
+    """The id of a record that breaks no record rule, now claimed in
+    ``ids``; None for any other record, which _record_error words."""
+    if isinstance(raw, dict) and raw.keys() <= keys:
+        identifier = raw.get("id")
+        if (
+            isinstance(identifier, str)
+            and identifier
+            and identifier not in ids
+            and " " not in identifier
+            and identifier.isprintable()
+        ):
+            ids.add(identifier)
+            return identifier
+    return None
 
-    Errors about the array name it ``outer``; errors about one record name it ``inner``.
-    """
-    for raw in entries:
-        if not isinstance(raw, dict):
-            raise DocumentError(f"{outer}: {noun} must be objects")
-        _check_keys(raw, keys, inner)
-        identifier = _get_str(raw, "id", inner)
-        _check_id(identifier, inner)
-        if identifier in ids:
-            raise DocumentError(f"{outer}: duplicate identifier {identifier!r}")
-        ids.add(identifier)
-        yield raw, identifier
+
+def _record_error(raw: Any, keys: set[str], outer: str, inner: str, noun: str) -> NoReturn:
+    """Raise the error of a record that _claim refused: the first rule it
+    breaks, in the order object, keys, id, new id.  Errors about the
+    array name it ``outer``; errors about the record name it ``inner``."""
+    if not isinstance(raw, dict):
+        raise DocumentError(f"{outer}: {noun} must be objects")
+    _check_keys(raw, keys, inner)
+    identifier = _get_str(raw, "id", inner)
+    _check_id(identifier, inner)
+    raise DocumentError(f"{outer}: duplicate identifier {identifier!r}")
 
 
 def _document_rank(obj: dict[str, Any]) -> int:
@@ -357,6 +368,9 @@ def _finite_from_obj(obj: dict[str, Any]) -> FiniteGraph:
 
 
 def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
+    """Read every record once.  Each check is a plain test first; only a
+    record that fails it has its error worded, by the same rules in the
+    same order as the test, so the first rule a record breaks is named."""
     _check_keys(obj, _TOP_KEYS, "document")
     rank = _document_rank(obj)
     ids: set[str] = set()
@@ -365,29 +379,41 @@ def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
     if not raw_sections:
         raise DocumentError("document: at least one section is required")
     sections: list[Section] = []
-    for raw, section_id in _records(raw_sections, _SECTION_KEYS, ids, "sections", "section"):
-        context = f"section {section_id}"
-        raw_internals = _get_list(raw, "internal_nodes", context)
-        if not raw_internals:
+    for raw in raw_sections:
+        section_id = _claim(raw, _SECTION_KEYS, ids)
+        if section_id is None:
+            _record_error(raw, _SECTION_KEYS, "sections", "section", "entries")
+        raw_internals = raw.get("internal_nodes")
+        if not isinstance(raw_internals, list) or not raw_internals:
+            context = f"section {section_id}"
+            _get_list(raw, "internal_nodes", context)
             raise DocumentError(f"{context}: needs at least one internal node")
+        representative = raw.get("representative")
+        named = False
         internals: list[InternalNode] = []
-        for raw_internal, internal_id in _records(
-            raw_internals, _INTERNAL_KEYS, ids, context, context, "internal nodes"
-        ):
-            internal_rank = _get_int(raw_internal, "rank", f"internal node {internal_id}")
-            if not 0 <= internal_rank < rank:
-                raise DocumentError(
-                    f"internal node {internal_id}: rank {internal_rank} must satisfy "
-                    f"0 <= rank < {rank}"
-                )
+        for raw_internal in raw_internals:
+            internal_id = _claim(raw_internal, _INTERNAL_KEYS, ids)
+            if internal_id is None:
+                context = f"section {section_id}"
+                _record_error(raw_internal, _INTERNAL_KEYS, context, context, "internal nodes")
+            internal_rank = raw_internal.get("rank")
+            if type(internal_rank) is not int or not 0 <= internal_rank < rank:
+                internal_rank = _get_int(raw_internal, "rank", f"internal node {internal_id}")
+                if not 0 <= internal_rank < rank:
+                    raise DocumentError(
+                        f"internal node {internal_id}: rank {internal_rank} must satisfy "
+                        f"0 <= rank < {rank}"
+                    )
             nonsingleton = raw_internal.get("nonsingleton")
             if not isinstance(nonsingleton, bool):
                 raise DocumentError(
                     f"internal node {internal_id}: 'nonsingleton' must be a boolean"
                 )
+            named = named or internal_id == representative
             internals.append(InternalNode(internal_id, internal_rank, nonsingleton))
-        representative = _get_str(raw, "representative", context)
-        if representative not in {internal.id for internal in internals}:
+        if not named:
+            context = f"section {section_id}"
+            representative = _get_str(raw, "representative", context)
             raise DocumentError(
                 f"{context}: representative {representative!r} "
                 "does not name one of its internal nodes"
@@ -396,19 +422,28 @@ def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
     section_ids = {section.id for section in sections}
 
     mu_nodes: list[MuNode] = []
-    raw_mu_nodes = _get_list(obj, "mu_nodes", "document")
-    for raw, mu_id in _records(raw_mu_nodes, _MU_NODE_KEYS, ids, "mu_nodes", "mu-node"):
-        context = f"mu-node {mu_id}"
-        raw_tips = _get_list(raw, "tips", context)
-        if not raw_tips:
+    for raw in _get_list(obj, "mu_nodes", "document"):
+        mu_id = _claim(raw, _MU_NODE_KEYS, ids)
+        if mu_id is None:
+            _record_error(raw, _MU_NODE_KEYS, "mu_nodes", "mu-node", "entries")
+        raw_tips = raw.get("tips")
+        if not isinstance(raw_tips, list) or not raw_tips:
+            context = f"mu-node {mu_id}"
+            _get_list(raw, "tips", context)
             raise DocumentError(f"{context}: needs at least one tip")
         tips: list[Tip] = []
-        for raw_tip, tip_id in _records(raw_tips, _TIP_KEYS, ids, context, context, "tips"):
-            home = _get_str(raw_tip, "section", f"tip {tip_id}")
-            if home not in section_ids:
+        for raw_tip in raw_tips:
+            tip_id = _claim(raw_tip, _TIP_KEYS, ids)
+            if tip_id is None:
+                context = f"mu-node {mu_id}"
+                _record_error(raw_tip, _TIP_KEYS, context, context, "tips")
+            home = raw_tip.get("section")
+            if not isinstance(home, str) or home not in section_ids:
+                home = _get_str(raw_tip, "section", f"tip {tip_id}")
                 raise DocumentError(f"tip {tip_id}: unknown section {home!r}")
             tips.append(Tip(tip_id, home))
         mu_nodes.append(MuNode(mu_id, tuple(tips)))
+
     tip_ids = {tip.id for mu_node in mu_nodes for tip in mu_node.tips}
     mu_ids = {mu_node.id for mu_node in mu_nodes}
 
@@ -431,7 +466,7 @@ def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
         seen_pairs.add(pair)
         pairs.append(pair)
 
-    include: list[str] = []
+    include: dict[str, None] = {}  # ordered, and a set for the duplicate check
     for raw in _get_optional_list(obj, "include_singletons", "document"):
         if not isinstance(raw, str):
             raise DocumentError(f"include_singletons: entry {raw!r} must be a mu-node id")
@@ -439,7 +474,7 @@ def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
             raise DocumentError(f"include_singletons: unknown mu-node {raw!r}")
         if raw in include:
             raise DocumentError(f"include_singletons: duplicate entry {raw!r}")
-        include.append(raw)
+        include[raw] = None
 
     return TransfiniteGraph(
         rank=rank,
@@ -487,19 +522,38 @@ def validate(graph: TransfiniteGraph, walk_based: bool = False) -> ValidationRep
             )
         )
 
-    declared = [section.id for section in graph.sections] + [m.id for m in graph.mu_nodes]
-    declared += [n.id for section in graph.sections for n in section.internal_nodes]
-    declared += [tip.id for m in graph.mu_nodes for tip in m.tips]
-    counts = [Counter(declared), Counter(graph.include_singletons)]
+    sections, mu_nodes = graph.sections, graph.mu_nodes
+    declared = [section.id for section in sections] + [m.id for m in mu_nodes]
+    declared += [n.id for section in sections for n in section.internal_nodes]
+    declared += [tip.id for m in mu_nodes for tip in m.tips]
+    include = graph.include_singletons
+    twice: list[str] = []
+    if len(set(declared)) < len(declared) or len(set(include)) < len(include):
+        counts = [Counter(declared), Counter(include)]
+        twice = [key for counter in counts for key, count in counter.items() if count > 1]
+
+    # A representative stands for the first internal node of its section
+    # with its id; "outside" lists those that name none.
+    outside: list[str] = []
+    invalid: list[Section] = []
+    rank_is_int = isinstance(graph.rank, int)
+    for section in sections:
+        representative = section.representative
+        for internal in section.internal_nodes:
+            if internal.id == representative:
+                if not (internal.nonsingleton and rank_is_int and 0 <= internal.rank < graph.rank):
+                    invalid.append(section)
+                break
+        else:
+            outside.append(representative)
+            invalid.append(section)
+
+    section_index = graph._section_index
     problems = {
-        "used twice": [key for counter in counts for key, count in counter.items() if count > 1],
-        "representatives outside their section": [
-            section.representative
-            for section in graph.sections
-            if section.representative not in {n.id for n in section.internal_nodes}
-        ],
+        "used twice": twice,
+        "representatives outside their section": outside,
         "tips in undeclared sections": [
-            tip.id for m in graph.mu_nodes for tip in m.tips if not graph.has_section(tip.section)
+            tip.id for m in mu_nodes for tip in m.tips if tip.section not in section_index
         ],
     }
     unresolved = tuple(key for ids in problems.values() for key in ids)
@@ -507,21 +561,15 @@ def validate(graph: TransfiniteGraph, walk_based: bool = False) -> ValidationRep
         text = "; ".join(f"{label}: {', '.join(ids)}" for label, ids in problems.items() if ids)
         violations.append(Violation("identifiers", text, unresolved))
 
-    for section in graph.sections:
-        internal = next(
-            (n for n in section.internal_nodes if n.id == section.representative), None
-        )
-        if internal is None or not internal.nonsingleton or not (
-            isinstance(graph.rank, int) and 0 <= internal.rank < graph.rank
-        ):
-            violations.append(
-                Violation(
-                    "representative",
-                    f"section {section.id} has no valid nonsingleton representative "
-                    f"({section.representative!r})",
-                    (section.id, section.representative),
-                )
+    for section in invalid:
+        violations.append(
+            Violation(
+                "representative",
+                f"section {section.id} has no valid nonsingleton representative "
+                f"({section.representative!r})",
+                (section.id, section.representative),
             )
+        )
 
     for mu_id in graph.include_singletons:
         mu_node = graph._mu_index.get(mu_id)

@@ -21,10 +21,18 @@ from math import comb
 
 def oracle_bfs(nodes, edges, source):
     """Hop distances from source as a dict; unreachable ids are absent."""
+    return _oracle_bfs(_oracle_adjacency(nodes, edges), source)
+
+
+def _oracle_adjacency(nodes, edges):
     adjacency = {node: set() for node in nodes}
     for u, v in edges:
         adjacency[u].add(v)
         adjacency[v].add(u)
+    return adjacency
+
+
+def _oracle_bfs(adjacency, source):
     dist = {source: 0}
     frontier = [source]
     while frontier:
@@ -40,10 +48,17 @@ def oracle_bfs(nodes, edges, source):
 
 def oracle_status(nodes, edges, source):
     """Sum of distances from source, or None when the graph is disconnected."""
-    dist = oracle_bfs(nodes, edges, source)
-    if len(dist) != len(list(nodes)):
-        return None
-    return sum(dist.values())
+    return oracle_statuses(nodes, edges, [source])[0]
+
+
+def oracle_statuses(nodes, edges, sources):
+    """oracle_status of each source, with the adjacency built once."""
+    adjacency = _oracle_adjacency(nodes, edges)
+    statuses = []
+    for source in sources:
+        dist = _oracle_bfs(adjacency, source)
+        statuses.append(sum(dist.values()) if len(dist) == len(adjacency) else None)
+    return statuses
 
 
 def is_path_into_clique(nodes, edges, x):
@@ -367,6 +382,51 @@ def chain_document(sections, rank=1):
         ],
         "nondisconnectable_pairs": [],
         "include_singletons": [],
+    }
+
+
+def wide_document(sections, seed, rank=2):
+    """Sections S1..Sn strung on a shuffled chain: mu-node Xi joins the
+    i-th and (i+1)-th sections of the chain (the last one a random
+    section) and has up to two more tips in random sections, repeats
+    allowed.  A quarter of the sections hold a second, singleton internal
+    node; every 50th section has a singleton mu-node, every other one
+    included.  The replacement has 2 * sections + sections // 100
+    0-nodes."""
+    rng = random.Random(seed)
+    section_records = []
+    for i in range(1, sections + 1):
+        internal = [{"id": f"y{i}", "rank": rng.randrange(rank), "nonsingleton": True}]
+        if i % 4 == 0:
+            internal.append({"id": f"z{i}", "rank": rng.randrange(rank), "nonsingleton": False})
+        section_records.append(
+            {"id": f"S{i}", "internal_nodes": internal, "representative": f"y{i}"}
+        )
+    order = [f"S{i}" for i in range(1, sections + 1)]
+    rng.shuffle(order)
+    serial = 0
+    mu_nodes = []
+    for i in range(sections):
+        homes = [order[i], order[i + 1] if i + 1 < sections else rng.choice(order)]
+        homes += [rng.choice(order) for _ in range(rng.randrange(3))]
+        tips = []
+        for home in homes:
+            serial += 1
+            tips.append({"id": f"t{serial}", "section": home})
+        mu_nodes.append({"id": f"X{i + 1}", "tips": tips})
+    include = []
+    for j in range(1, sections // 50 + 1):
+        serial += 1
+        tip = {"id": f"t{serial}", "section": rng.choice(order)}
+        mu_nodes.append({"id": f"W{j}", "tips": [tip]})
+        if j % 2:
+            include.append(f"W{j}")
+    return {
+        "rank": rank,
+        "sections": section_records,
+        "mu_nodes": mu_nodes,
+        "nondisconnectable_pairs": [],
+        "include_singletons": include,
     }
 
 

@@ -85,6 +85,79 @@ def any_graphs(draw):
     return FiniteGraph(names, edges)
 
 
+@st.composite
+def drawn_graphs(draw, connected):
+    """Graphs on up to 30 nodes declared in no particular name order, with
+    edges in drawn order and orientation; connected by a spanning tree
+    when asked, else any edge set."""
+    p = draw(st.integers(min_value=1, max_value=30))
+    nodes = draw(st.permutations([f"n{i}" for i in range(p)]))
+    pairs = [(nodes[i], nodes[j]) for i in range(p) for j in range(i + 1, p)]
+    if connected:
+        tree = [(nodes[draw(st.integers(0, i - 1))], nodes[i]) for i in range(1, p)]
+        rest = [pair for pair in pairs if pair not in tree and pair[::-1] not in tree]
+        extra = draw(st.lists(st.sampled_from(rest), unique=True, max_size=p)) if rest else []
+        edges = draw(st.permutations(tree + extra))
+    else:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=p)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return FiniteGraph(nodes, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)])
+
+
+class TestAgainstOracle:
+    """FiniteGraph's searches against oracle_bfs, on connected and on
+    disconnected graphs whose node order is not their name order;
+    TestDistancesAndStatus runs its until and hop_distance checks on
+    these graphs too."""
+
+    @given(st.one_of(drawn_graphs(True), drawn_graphs(False)))
+    def test_searches_match_the_oracle(self, g):
+        nodes, edges = g.nodes, g.edges
+        reach = {source: oracle_bfs(nodes, edges, source) for source in nodes}
+        connected = len(reach[nodes[0]]) == len(nodes)
+        assert g.is_connected() == connected
+        for source in nodes:
+            full = reach[source]
+            assert g.bfs_distances(source) == {node: full.get(node) for node in nodes}
+            if connected:
+                assert g.status(source) == oracle_status(nodes, edges, source)
+            else:
+                with pytest.raises(GraphError) as excinfo:
+                    g.status(source)
+                assert str(excinfo.value) == "status is undefined on a disconnected graph"
+
+    @given(st.one_of(drawn_graphs(True), drawn_graphs(False)))
+    def test_neighbors_in_edge_order(self, g):
+        nodes = g.nodes
+        expected = {node: [] for node in nodes}
+        for u, v in g.edges:
+            expected[u].append(v)
+            expected[v].append(u)
+        for node in nodes:
+            assert g.neighbors(node) == tuple(expected[node])
+            assert g.degree(node) == len(expected[node])
+
+    @given(drawn_graphs(False))
+    @settings(max_examples=20)
+    def test_unknown_node_error_text(self, g):
+        known = g.nodes[0]
+        calls = [
+            lambda: g.bfs_distances("zz"),
+            lambda: g.bfs_distances("zz", until="yy"),
+            lambda: g.bfs_distances(known, until="zz"),
+            lambda: g.hop_distance("zz", known),
+            lambda: g.hop_distance(known, "zz"),
+            lambda: g.hop_distance("zz", "yy"),
+            lambda: g.status("zz"),
+            lambda: g.neighbors("zz"),
+            lambda: g.degree("zz"),
+        ]
+        for call in calls:
+            with pytest.raises(GraphError) as excinfo:
+                call()
+            assert str(excinfo.value) == "unknown node 'zz'"
+
+
 class TestConstruction:
     def test_rejects_duplicate_node(self):
         with pytest.raises(GraphError):
@@ -156,7 +229,7 @@ class TestDistancesAndStatus:
         with pytest.raises(GraphError):
             path_graph(2).bfs_distances("v1", until="nope")
 
-    @given(st.one_of(connected_graphs(), any_graphs()))
+    @given(st.one_of(connected_graphs(), any_graphs(), drawn_graphs(True), drawn_graphs(False)))
     def test_bfs_until_labels_exactly_the_ball_reaching_until(self, g):
         for source in g.nodes:
             full = oracle_bfs(g.nodes, g.edges, source)
@@ -170,7 +243,7 @@ class TestDistancesAndStatus:
                 }
                 assert g.bfs_distances(source, until=until) == expected
 
-    @given(st.one_of(connected_graphs(), any_graphs()))
+    @given(st.one_of(connected_graphs(), any_graphs(), drawn_graphs(True), drawn_graphs(False)))
     def test_hop_distance_matches_oracle_on_every_pair(self, g):
         for a in g.nodes:
             dist = oracle_bfs(g.nodes, g.edges, a)

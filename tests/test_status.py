@@ -30,7 +30,9 @@ from helpers import (
     oracle_ordinal_text,
     oracle_replacement,
     oracle_status,
+    oracle_statuses,
     random_document,
+    wide_document,
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
@@ -348,6 +350,27 @@ class TestConnectedReplacement:
             if a != "W1":
                 assert mu_status(g, rebuilt, a) == mu_status(g, r, a)
         assert mu_status_bounds(g, rebuilt) == mu_status_bounds(g, r)
+
+
+def test_ten_thousand_node_document_against_the_oracles():
+    """A document with p >= 10^4: its 0-graph is the oracle's, and 30
+    sampled statuses are w^mu times the oracle's finite statuses."""
+    doc = wide_document(5000, seed=13)
+    graph = parse_document(document_text(doc))
+    result = build_replacement(graph)
+    nodes, edges = oracle_replacement(doc)
+    assert len(nodes) >= 10_000
+    assert result.graph.nodes == tuple(nodes)
+    assert sorted(result.graph.edges) == edges
+    zero_node = {m["id"]: m["id"] for m in doc["mu_nodes"] if len(m["tips"]) >= 2}
+    for section in doc["sections"]:
+        for internal in section["internal_nodes"]:
+            zero_node[internal["id"]] = section["representative"]
+    sources = random.Random(13).sample(sorted(zero_node), 30)
+    finite = oracle_statuses(nodes, edges, [zero_node[source] for source in sources])
+    for source, status in zip(sources, finite):
+        expected = oracle_ordinal_text(doc["rank"], status)
+        assert str(mu_status(graph, result, source)) == expected, source
 
 
 class TestReport:
