@@ -14,10 +14,9 @@ bounds, built in closed form.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .ordinal import Ordinal
@@ -687,27 +686,23 @@ def bound_violation_counts(max_p: int) -> Iterator[tuple[int, int, int]]:
     the walk is checked with a BFS from every node and no pruning, and
     counts for p!/(s*c) labeled graphs: for each class G these sum to
     p!/|Aut G|, the labeled graphs isomorphic to G.  The sums stay exact
-    integers.  s is the order of a group of permutations of at most p
-    nodes, so p!/s is an integer.  The graphs with one tie count c are
-    whole classes, and the graphs of a class share their statuses, so
-    the sums over them of p!/s and of p!/s times the nodes outside the
-    bounds are c times the labeled graphs and nodes of those classes;
-    each is divided by c once per level.
+    integers: s is the order of a group of permutations of at most p
+    nodes, so p!/s is an integer, and every tie count c <= p divides
+    L = lcm(1, ..., p).  So each graph adds the integer weight
+    p!/s * L/c, and the level's sums of weights and of weights times the
+    nodes outside the bounds are L times the labeled graphs and nodes,
+    divided by L once per level.
     """
     _check_enumeration_size(max_p, "verification", MAX_VERIFY_NODES)
     for p, level in enumerate(_class_walk(max_p), 1):
-        graphs: Counter[int] = Counter()  # keyed by the tie count
-        violations: Counter[int] = Counter()
+        scale = lcm(*range(1, p + 1))
+        graphs = violations = 0
         for adj, stabiliser, ties in level:
-            labelings = factorial(p) // stabiliser
+            weight = factorial(p) // stabiliser * (scale // ties)
             lower, upper = status_bounds_values(p, sum(row.bit_count() for row in adj) // 2)
-            graphs[ties] += labelings
-            violations[ties] += labelings * sum(not lower <= s <= upper for s in _statuses(adj))
-        yield (
-            p,
-            sum(total // ties for ties, total in graphs.items()),
-            sum(total // ties for ties, total in violations.items()),
-        )
+            graphs += weight
+            violations += weight * sum(not lower <= s <= upper for s in _statuses(adj))
+        yield p, graphs // scale, violations // scale
 
 
 def _upper_witness(p: int, q: int) -> tuple[list[tuple[int, int]], int]:

@@ -18,7 +18,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, NoReturn
+from typing import Any
 
 from .finite_graph import FiniteGraph, GraphError
 
@@ -225,23 +225,8 @@ def _json_object(text: str) -> dict[str, Any]:
 
 
 def _check_keys(obj: dict[str, Any], allowed: set[str], context: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise DocumentError(f"{context}: unknown key {sorted(unknown)[0]!r}")
-
-
-def _get_str(obj: dict[str, Any], key: str, context: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise DocumentError(f"{context}: {key!r} must be a non-empty string")
-    return value
-
-
-def _get_int(obj: dict[str, Any], key: str, context: str) -> int:
-    value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DocumentError(f"{context}: {key!r} must be an integer")
-    return value
+    if not obj.keys() <= allowed:
+        raise DocumentError(f"{context}: unknown key {min(obj.keys() - allowed)!r}")
 
 
 def _get_list(obj: dict[str, Any], key: str, context: str) -> list[Any]:
@@ -259,50 +244,44 @@ def _is_id_pair(value: Any) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value)
 
 
-def _check_id(identifier: str, context: str, noun: str = "id") -> None:
-    """Text output separates fields with spaces and records with newlines,
-    so an id may hold neither.  str.isprintable rejects every whitespace
-    character but the ASCII space, and every control character."""
-    if " " in identifier or not identifier.isprintable():
-        raise DocumentError(
-            f"{context}: {noun} {identifier!r} must not hold whitespace "
-            "or non-printable characters"
-        )
+# Text output separates fields with spaces and records with newlines, so
+# an id may hold neither.  str.isprintable rejects every whitespace
+# character but the ASCII space, and every control character.
+_ID_RULE = "must not hold whitespace or non-printable characters"
 
 
-def _claim(raw: Any, keys: set[str], ids: set[str]) -> str | None:
-    """The id of a record that breaks no record rule, now claimed in
-    ``ids``; None for any other record, which _record_error words."""
-    if isinstance(raw, dict) and raw.keys() <= keys:
-        identifier = raw.get("id")
-        if (
-            isinstance(identifier, str)
-            and identifier
-            and identifier not in ids
-            and " " not in identifier
-            and identifier.isprintable()
-        ):
-            ids.add(identifier)
-            return identifier
-    return None
-
-
-def _record_error(raw: Any, keys: set[str], outer: str, inner: str, noun: str) -> NoReturn:
-    """Raise the error of a record that _claim refused: the first rule it
-    breaks, in the order object, keys, id, new id.  Errors about the
-    array name it ``outer``; errors about the record name it ``inner``."""
+def _claim(
+    raw: Any, keys: set[str], ids: set[str], names: tuple[str, str, str], owner: str = ""
+) -> str:
+    """The id of a record, now claimed in ``ids``.  Each record rule is
+    tested once, in order, and raises where it fails: the record is an
+    object, it has no key outside ``keys``, its id is a non-empty string,
+    printable with no space, and the id is new.  ``names`` is (the array,
+    what its entries are, the record): errors about the array name the
+    first, errors about the record the last, with "{}" standing for
+    ``owner``, the id of the record that holds this one."""
     if not isinstance(raw, dict):
-        raise DocumentError(f"{outer}: {noun} must be objects")
-    _check_keys(raw, keys, inner)
-    identifier = _get_str(raw, "id", inner)
-    _check_id(identifier, inner)
-    raise DocumentError(f"{outer}: duplicate identifier {identifier!r}")
+        array, entries, _ = names
+        raise DocumentError(f"{array.format(owner)}: {entries} must be objects")
+    if not raw.keys() <= keys:
+        raise DocumentError(f"{names[2].format(owner)}: unknown key {min(raw.keys() - keys)!r}")
+    identifier = raw.get("id")
+    if not isinstance(identifier, str) or not identifier:
+        raise DocumentError(f"{names[2].format(owner)}: 'id' must be a non-empty string")
+    if " " in identifier or not identifier.isprintable():
+        raise DocumentError(f"{names[2].format(owner)}: id {identifier!r} {_ID_RULE}")
+    if identifier in ids:
+        raise DocumentError(f"{names[0].format(owner)}: duplicate identifier {identifier!r}")
+    ids.add(identifier)
+    return identifier
 
 
 def _document_rank(obj: dict[str, Any]) -> int:
     if "rank" not in obj:
         raise DocumentError("document: missing 'rank'")
-    rank = _get_int(obj, "rank", "document")
+    rank = obj["rank"]
+    if type(rank) is not int:
+        raise DocumentError("document: 'rank' must be an integer")
     if rank < 0:
         raise DocumentError(f"document: rank must be >= 0, got {rank}")
     return rank
@@ -317,11 +296,12 @@ def parse_document(text: str) -> TransfiniteGraph:
     inclusion) must resolve.
     """
     obj = _json_object(text)
-    if _document_rank(obj) == 0:
+    rank = _document_rank(obj)
+    if rank == 0:
         raise DocumentError(
             "rank-0 documents carry plain nodes/edges and describe finite graphs"
         )
-    return _transfinite_from_obj(obj)
+    return _transfinite_from_obj(obj, rank)
 
 
 def parse_finite_document(text: str) -> FiniteGraph:
@@ -335,9 +315,10 @@ def parse_finite_document(text: str) -> FiniteGraph:
 def load_document(text: str) -> TransfiniteGraph | FiniteGraph:
     """Dispatch on rank: 0 loads a finite graph, >= 1 a transfinite one."""
     obj = _json_object(text)
-    if _document_rank(obj) == 0:
+    rank = _document_rank(obj)
+    if rank == 0:
         return _finite_from_obj(obj)
-    return _transfinite_from_obj(obj)
+    return _transfinite_from_obj(obj, rank)
 
 
 def rank0_document(graph: FiniteGraph) -> dict[str, Any]:
@@ -355,7 +336,8 @@ def _finite_from_obj(obj: dict[str, Any]) -> FiniteGraph:
     for node in nodes:
         if not isinstance(node, str) or not node:
             raise DocumentError(f"document: node id {node!r} must be a non-empty string")
-        _check_id(node, "document", "node id")
+        if " " in node or not node.isprintable():
+            raise DocumentError(f"document: node id {node!r} {_ID_RULE}")
     edges = []
     for entry in _get_list(obj, "edges", "document"):
         if not _is_id_pair(entry):
@@ -367,12 +349,11 @@ def _finite_from_obj(obj: dict[str, Any]) -> FiniteGraph:
         raise DocumentError(str(exc)) from None
 
 
-def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
-    """Read every record once.  Each check is a plain test first; only a
-    record that fails it has its error worded, by the same rules in the
-    same order as the test, so the first rule a record breaks is named."""
+def _transfinite_from_obj(obj: dict[str, Any], rank: int) -> TransfiniteGraph:
+    """Read every record once.  Each rule is tested once, in order of
+    precedence, and raises where it fails, so the first rule a record
+    breaks is named; a context such as ``section S1`` is built only then."""
     _check_keys(obj, _TOP_KEYS, "document")
-    rank = _document_rank(obj)
     ids: set[str] = set()
 
     raw_sections = _get_list(obj, "sections", "document")
@@ -380,30 +361,28 @@ def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
         raise DocumentError("document: at least one section is required")
     sections: list[Section] = []
     for raw in raw_sections:
-        section_id = _claim(raw, _SECTION_KEYS, ids)
-        if section_id is None:
-            _record_error(raw, _SECTION_KEYS, "sections", "section", "entries")
+        section_id = _claim(raw, _SECTION_KEYS, ids, ("sections", "entries", "section"))
         raw_internals = raw.get("internal_nodes")
-        if not isinstance(raw_internals, list) or not raw_internals:
-            context = f"section {section_id}"
-            _get_list(raw, "internal_nodes", context)
-            raise DocumentError(f"{context}: needs at least one internal node")
+        if not isinstance(raw_internals, list):
+            raise DocumentError(f"section {section_id}: 'internal_nodes' must be an array")
+        if not raw_internals:
+            raise DocumentError(f"section {section_id}: needs at least one internal node")
         representative = raw.get("representative")
         named = False
         internals: list[InternalNode] = []
         for raw_internal in raw_internals:
-            internal_id = _claim(raw_internal, _INTERNAL_KEYS, ids)
-            if internal_id is None:
-                context = f"section {section_id}"
-                _record_error(raw_internal, _INTERNAL_KEYS, context, context, "internal nodes")
+            internal_id = _claim(
+                raw_internal, _INTERNAL_KEYS, ids, ("section {}", "internal nodes", "section {}"),
+                section_id,
+            )
             internal_rank = raw_internal.get("rank")
-            if type(internal_rank) is not int or not 0 <= internal_rank < rank:
-                internal_rank = _get_int(raw_internal, "rank", f"internal node {internal_id}")
-                if not 0 <= internal_rank < rank:
-                    raise DocumentError(
-                        f"internal node {internal_id}: rank {internal_rank} must satisfy "
-                        f"0 <= rank < {rank}"
-                    )
+            if type(internal_rank) is not int:
+                raise DocumentError(f"internal node {internal_id}: 'rank' must be an integer")
+            if not 0 <= internal_rank < rank:
+                raise DocumentError(
+                    f"internal node {internal_id}: rank {internal_rank} must satisfy "
+                    f"0 <= rank < {rank}"
+                )
             nonsingleton = raw_internal.get("nonsingleton")
             if not isinstance(nonsingleton, bool):
                 raise DocumentError(
@@ -412,10 +391,12 @@ def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
             named = named or internal_id == representative
             internals.append(InternalNode(internal_id, internal_rank, nonsingleton))
         if not named:
-            context = f"section {section_id}"
-            representative = _get_str(raw, "representative", context)
+            if not isinstance(representative, str) or not representative:
+                raise DocumentError(
+                    f"section {section_id}: 'representative' must be a non-empty string"
+                )
             raise DocumentError(
-                f"{context}: representative {representative!r} "
+                f"section {section_id}: representative {representative!r} "
                 "does not name one of its internal nodes"
             )
         sections.append(Section(section_id, tuple(internals), representative))
@@ -423,23 +404,19 @@ def _transfinite_from_obj(obj: dict[str, Any]) -> TransfiniteGraph:
 
     mu_nodes: list[MuNode] = []
     for raw in _get_list(obj, "mu_nodes", "document"):
-        mu_id = _claim(raw, _MU_NODE_KEYS, ids)
-        if mu_id is None:
-            _record_error(raw, _MU_NODE_KEYS, "mu_nodes", "mu-node", "entries")
+        mu_id = _claim(raw, _MU_NODE_KEYS, ids, ("mu_nodes", "entries", "mu-node"))
         raw_tips = raw.get("tips")
-        if not isinstance(raw_tips, list) or not raw_tips:
-            context = f"mu-node {mu_id}"
-            _get_list(raw, "tips", context)
-            raise DocumentError(f"{context}: needs at least one tip")
+        if not isinstance(raw_tips, list):
+            raise DocumentError(f"mu-node {mu_id}: 'tips' must be an array")
+        if not raw_tips:
+            raise DocumentError(f"mu-node {mu_id}: needs at least one tip")
         tips: list[Tip] = []
         for raw_tip in raw_tips:
-            tip_id = _claim(raw_tip, _TIP_KEYS, ids)
-            if tip_id is None:
-                context = f"mu-node {mu_id}"
-                _record_error(raw_tip, _TIP_KEYS, context, context, "tips")
+            tip_id = _claim(raw_tip, _TIP_KEYS, ids, ("mu-node {}", "tips", "mu-node {}"), mu_id)
             home = raw_tip.get("section")
-            if not isinstance(home, str) or home not in section_ids:
-                home = _get_str(raw_tip, "section", f"tip {tip_id}")
+            if not isinstance(home, str) or not home:
+                raise DocumentError(f"tip {tip_id}: 'section' must be a non-empty string")
+            if home not in section_ids:
                 raise DocumentError(f"tip {tip_id}: unknown section {home!r}")
             tips.append(Tip(tip_id, home))
         mu_nodes.append(MuNode(mu_id, tuple(tips)))

@@ -5,8 +5,8 @@ plain-dict graph handling, an integer BFS, a path-into-clique check by
 BFS levels, a union-find connectivity counter, labeled connected
 counts by edge count, a brute-force canonical form, automorphism group
 and its orbits on node sets, ordinal sums by term absorption, a
-seeded random document generator, and large and long-diameter
-documents built from it or by hand.
+seeded random document generator, large and long-diameter documents
+built from it or by hand, and seeded random edits of documents.
 Acceptance tests compare package results against these, so nothing in
 this module may import from tgstatus.
 """
@@ -428,6 +428,59 @@ def wide_document(sections, seed, rank=2):
         "nondisconnectable_pairs": [],
         "include_singletons": include,
     }
+
+
+# Values an edit may write: every JSON type, ids of the sample documents,
+# an undeclared id, and ids that break the id rule.
+_EDIT_VALUES = (
+    None, True, False, 0, 1, 2, -1, 1.5, "", "0", "S1", "S2", "y1", "z1", "X1", "X2", "W1",
+    "t1", "t2", "t5", "v1", "S9", "a b", "a\tb", [], ["S1"], ["t1", "t2"], {}, {"id": "Q1"},
+)
+_EDIT_KEYS = ("id", "rank", "section", "tips", "representative", "nonsingleton", "extra")
+
+
+def mutated_documents(texts, seed, count):
+    """count documents, each one of the JSON texts, picked at random, read
+    and given 1-3 random edits.  An edit picks a random object or array
+    anywhere in the document and sets, deletes or adds one of its
+    entries from a fixed pool, or appends a copy of one of an array's
+    entries (a duplicate id)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        doc = json.loads(rng.choice(texts))
+        for _ in range(rng.randint(1, 3)):
+            target = rng.choice(_containers(doc))
+            value = rng.choice(_EDIT_VALUES)
+            if isinstance(value, (dict, list)):
+                value = json.loads(json.dumps(value))
+            edit = rng.randrange(4)
+            if isinstance(target, dict):
+                keys = list(target)
+                if edit == 0 and keys:
+                    target[rng.choice(keys)] = value
+                elif edit == 1 and keys:
+                    del target[rng.choice(keys)]
+                else:
+                    target[rng.choice(_EDIT_KEYS)] = value
+            elif edit == 0 and target:
+                target[rng.randrange(len(target))] = value
+            elif edit == 1 and target:
+                del target[rng.randrange(len(target))]
+            elif edit == 2 and target:
+                target.append(json.loads(json.dumps(rng.choice(target))))
+            else:
+                target.insert(rng.randint(0, len(target)), value)
+        yield doc
+
+
+def _containers(value):
+    """value, an object or array, and every object and array in it, in
+    document order."""
+    found = [value]
+    for child in value.values() if isinstance(value, dict) else value:
+        if isinstance(child, (dict, list)):
+            found += _containers(child)
+    return found
 
 
 def document_text(doc):

@@ -2,6 +2,7 @@
 
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,9 +21,10 @@ from tgstatus.model import (
 )
 from tgstatus.replacement import build_replacement, iter_simple_paths
 
-from helpers import document_text, random_document
+from helpers import document_text, mutated_documents, random_document
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
+DOCUMENT_ERRORS = Path(__file__).resolve().parent / "golden" / "document_errors.txt"
 
 
 def sample(name):
@@ -326,14 +328,22 @@ ERROR_PRECEDENCE = [
      "section S1: 'id' must be a non-empty string"),
     ("internal-id-newline", lambda d: _internal(d).update(id="y1\nupper"),
      f"section S1: id 'y1\\nupper' {_ID_RULE}"),
+    ("internal-id-empty", lambda d: _internal(d).update(id=""),
+     "section S1: 'id' must be a non-empty string"),
+    ("internal-id-tab", lambda d: _internal(d).update(id="y\t1"),
+     f"section S1: id 'y\\t1' {_ID_RULE}"),
     ("mu-node-id-number", lambda d: _mu(d).update(id=7),
      "mu-node: 'id' must be a non-empty string"),
     ("mu-node-id-tab", lambda d: _mu(d).update(id="X\t1"),
      f"mu-node: id 'X\\t1' {_ID_RULE}"),
+    ("mu-node-id-empty", lambda d: _mu(d).update(id=""),
+     "mu-node: 'id' must be a non-empty string"),
     ("tip-id-empty", lambda d: _tip(d).update(id=""),
      "mu-node X1: 'id' must be a non-empty string"),
     ("tip-id-nul", lambda d: _tip(d).update(id="t\x001"),
      f"mu-node X1: id 't\\x001' {_ID_RULE}"),
+    ("tip-id-tab", lambda d: _tip(d).update(id="t\t1"),
+     f"mu-node X1: id 't\\t1' {_ID_RULE}"),
     ("tip-id-no-break-space", lambda d: _tip(d).update(id="t 1"),
      f"mu-node X1: id 't\\xa01' {_ID_RULE}"),
     # duplicates, within and across kinds
@@ -360,6 +370,10 @@ ERROR_PRECEDENCE = [
      "internal node y1: 'rank' must be an integer"),
     ("rank-missing", lambda d: _internal(d).pop("rank"),
      "internal node y1: 'rank' must be an integer"),
+    ("rank-null", lambda d: _internal(d).update(rank=None),
+     "internal node y1: 'rank' must be an integer"),
+    ("rank-string", lambda d: _internal(d).update(rank="0"),
+     "internal node y1: 'rank' must be an integer"),
     ("rank-at-graph-rank", lambda d: _internal(d).update(rank=1),
      "internal node y1: rank 1 must satisfy 0 <= rank < 1"),
     ("rank-negative-and-bad-nonsingleton", lambda d: _internal(d).update(rank=-1, nonsingleton=0),
@@ -375,6 +389,8 @@ ERROR_PRECEDENCE = [
      "section S1: 'representative' must be a non-empty string"),
     ("representative-not-string", lambda d: _section(d).update(representative=1),
      "section S1: 'representative' must be a non-empty string"),
+    ("representative-empty", lambda d: _section(d).update(representative=""),
+     "section S1: 'representative' must be a non-empty string"),
     ("representative-unknown", lambda d: _section(d).update(representative="y9"),
      "section S1: representative 'y9' does not name one of its internal nodes"),
     ("representative-in-other-section", lambda d: d["sections"][1].update(representative="y1"),
@@ -389,6 +405,8 @@ ERROR_PRECEDENCE = [
      "section S1: needs at least one internal node"),
     ("internal-nodes-object", lambda d: _section(d).update(internal_nodes={}),
      "section S1: 'internal_nodes' must be an array"),
+    ("internal-nodes-null", lambda d: _section(d).update(internal_nodes=None),
+     "section S1: 'internal_nodes' must be an array"),
     ("internal-nodes-missing-and-bad-representative",
      lambda d: (_section(d).pop("internal_nodes"), _section(d).update(representative=5)),
      "section S1: 'internal_nodes' must be an array"),
@@ -398,6 +416,8 @@ ERROR_PRECEDENCE = [
      "mu-node X1: 'tips' must be an array"),
     ("tips-missing", lambda d: _mu(d).pop("tips"),
      "mu-node X1: 'tips' must be an array"),
+    ("tips-null", lambda d: _mu(d).update(tips=None),
+     "mu-node X1: 'tips' must be an array"),
     # tip sections
     ("tip-section-unknown", lambda d: _tip(d).update(section="S9"),
      "tip t1: unknown section 'S9'"),
@@ -406,6 +426,8 @@ ERROR_PRECEDENCE = [
     ("tip-section-not-string", lambda d: _tip(d).update(section=["S1"]),
      "tip t1: 'section' must be a non-empty string"),
     ("tip-section-missing", lambda d: _tip(d).pop("section"),
+     "tip t1: 'section' must be a non-empty string"),
+    ("tip-section-empty", lambda d: _tip(d).update(section=""),
      "tip t1: 'section' must be a non-empty string"),
     # records are read in document order: sections first
     ("section-before-mu-node",
@@ -433,6 +455,29 @@ def test_document_error_text_and_precedence(change, message):
     with pytest.raises(DocumentError) as excinfo:
         parse_document(json.dumps(doc))
     assert str(excinfo.value) == message
+
+
+def document_outcomes(seed, count):
+    """Lines "<count> <outcome>", by outcome, over count sample documents
+    with random edits: the outcome of a document is "ok" when it loads
+    and the DocumentError text when it does not."""
+    texts = [path.read_text() for path in sorted(SAMPLES.glob("*.json"))]
+    outcomes = Counter()
+    for doc in mutated_documents(texts, seed, count):
+        try:
+            load_document(json.dumps(doc))
+        except DocumentError as exc:
+            outcomes[str(exc)] += 1
+        else:
+            outcomes["ok"] += 1
+    return "".join(f"{outcomes[key]} {key}\n" for key in sorted(outcomes))
+
+
+def test_document_error_texts_on_edited_samples():
+    """5,000 edited sample documents give the golden count of each error
+    text, so a reader change that rewords or reorders a rule shows here;
+    any exception but DocumentError fails the test."""
+    assert document_outcomes(seed=1, count=5000) == DOCUMENT_ERRORS.read_text()
 
 
 def test_include_singletons_duplicate_check_is_linear():
