@@ -139,15 +139,10 @@ class FiniteGraph:
             )
         return self._connected
 
-    def bfs_distances(self, source: str, *, until: str | None = None) -> dict[str, int | None]:
-        """Hop distances from source; unreachable nodes map to None.
-
-        With until set, the search stops after the level that labels
-        until: every node at most that far from source is labeled
-        exactly, and every farther node maps to None.
-        """
-        start = self._node_index(source)
-        stop = -1 if until is None else self._node_index(until)
+    def _distances(self, start: int, stop: int = -1) -> list[int | None]:
+        """Hop distances from node index start, by node index; None for a
+        node not reached.  With stop >= 0 the search ends after the level
+        that reaches index stop, and every farther node stays None."""
         nbrs = self._nbrs
         dist: list[int | None] = [None] * len(nbrs)
         dist[start] = 0
@@ -162,7 +157,28 @@ class FiniteGraph:
                         dist[v] = level
                         reached.append(v)
             frontier = reached
-        return dict(zip(self._nodes, dist))
+        return dist
+
+    def bfs_distances(self, source: str) -> dict[str, int | None]:
+        """Hop distances from source; unreachable nodes map to None."""
+        return dict(zip(self._nodes, self._distances(self._node_index(source))))
+
+    def shortest_path(self, a: str, b: str) -> tuple[str, ...] | None:
+        """The node ids of a shortest path from a to b; None when they are
+        not connected.  A BFS from b stops at the level that reaches a, and
+        the walk back from a steps to the least-id neighbour one hop nearer
+        to b, so the path has the least id sequence of all shortest ones."""
+        start = self._node_index(a)
+        dist = self._distances(self._node_index(b), start)
+        if dist[start] is None:
+            return None
+        nodes, nbrs = self._nodes, self._nbrs
+        path = [start]
+        for remaining in range(dist[start] - 1, -1, -1):
+            path.append(
+                min((v for v in nbrs[path[-1]] if dist[v] == remaining), key=nodes.__getitem__)
+            )
+        return tuple([nodes[i] for i in path])
 
     def hop_distance(self, a: str, b: str) -> int | None:
         """Hop distance between a and b; None when they are not connected.
@@ -202,7 +218,7 @@ class FiniteGraph:
 
     def status(self, node: str) -> int:
         """Sum of distances from node to all other nodes; needs connectivity."""
-        distances = self.bfs_distances(node).values()
+        distances = self._distances(self._node_index(node))
         if None in distances:
             raise GraphError("status is undefined on a disconnected graph")
         return sum(distances)
@@ -276,24 +292,14 @@ def _check_enumeration_size(p: object, what: str, cap: int = MAX_ENUMERATION_NOD
         raise GraphError(f"{what} supports 1 <= p <= {cap}, got {p!r}")
 
 
-# Small graphs live in the bitmask domain.  Node i is bit i, and a graph
-# is a sequence of adjacency bitmasks, item i the neighbours of i.  The
-# labeled scan (_labeled_graphs) packs a graph on p <= 7 nodes into one
-# adjacency word whose byte i is the bitmask of i's neighbours;
-# word.to_bytes(p, "little") indexes it by node.  Each pair (i, j),
-# i < j, has its own word, and a graph's word is the OR of the words of
-# its edges.  _MEMBERS lists the nodes of every node bitmask.
+# Small graphs live in the bitmask domain.  Node i is bit i, a graph is a
+# sequence of adjacency bitmasks, item i the neighbours of i, and
+# _MEMBERS lists the nodes of every node bitmask.
 
 _MEMBERS = [
     tuple(v for v in range(MAX_VERIFY_NODES) if mask >> v & 1)
     for mask in range(1 << MAX_VERIFY_NODES)
 ]
-
-
-def _edges(names: tuple[str, ...], adj: bytes) -> list[tuple[str, str]]:
-    """The edges of an adjacency, as name pairs in lexicographic order."""
-    p = len(names)
-    return [(names[i], names[j]) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
 
 
 def _statuses(adj: Sequence[int]) -> list[int] | None:
@@ -329,14 +335,6 @@ def _statuses(adj: Sequence[int]) -> list[int] | None:
     return statuses
 
 
-def _labeled_graphs(p: int, q: int) -> Iterator[bytes]:
-    """The adjacency of every labeled graph on p nodes with q edges, in
-    lexicographic order of the edge combinations."""
-    words = [1 << (8 * i + j) | 1 << (8 * j + i) for i in range(p) for j in range(i + 1, p)]
-    for word in map(sum, combinations(words, q)):  # pair words share no bits
-        yield word.to_bytes(p, "little")
-
-
 def enumerate_connected_graphs(p: int) -> Iterator[FiniteGraph]:
     """Yield every labeled connected simple graph on p nodes exactly once.
 
@@ -345,12 +343,13 @@ def enumerate_connected_graphs(p: int) -> Iterator[FiniteGraph]:
     """
     _check_enumeration_size(p, "enumeration")
     names = _node_names(p)
-    full = (1 << p) - 1
+    pairs = list(combinations(names, 2))
     # Fewer than p - 1 edges cannot connect p nodes.
-    for q in range(p - 1, p * (p - 1) // 2 + 1):
-        for adj in _labeled_graphs(p, q):
-            if _spans(adj, full):
-                yield FiniteGraph(names, _edges(names, adj))
+    for q in range(p - 1, len(pairs) + 1):
+        for edges in combinations(pairs, q):
+            graph = FiniteGraph(names, edges)
+            if graph.is_connected():
+                yield graph
 
 
 def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:

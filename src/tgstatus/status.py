@@ -135,16 +135,7 @@ def geodesic(
             f"{a!r} and {b!r} are at distance 0 (same node or same section); "
             "no geodesic between distinct 0-nodes exists"
         )
-    dist = result.graph.bfs_distances(node_b, until=node_a)
-    sequence = [node_a]
-    for remaining in range(dist[node_a] - 1, -1, -1):
-        sequence.append(
-            min(
-                neighbor
-                for neighbor in result.graph.neighbors(sequence[-1])
-                if dist[neighbor] == remaining
-            )
-        )
+    sequence = result.graph.shortest_path(node_a, node_b)
     return AbstractPath(tuple(result.origin[node][1] for node in sequence))
 
 

@@ -22,7 +22,6 @@ from tgstatus.finite_graph import (
     _class_walk,
     _connected_classes,
     _extensions,
-    _labeled_graphs,
     _least_invariant_last,
     _orbit_representatives,
     _statuses,
@@ -107,8 +106,8 @@ def drawn_graphs(draw, connected):
 class TestAgainstOracle:
     """FiniteGraph's searches against oracle_bfs, on connected and on
     disconnected graphs whose node order is not their name order;
-    TestDistancesAndStatus runs its until and hop_distance checks on
-    these graphs too."""
+    TestDistancesAndStatus runs its shortest_path and hop_distance checks
+    on these graphs too."""
 
     @given(st.one_of(drawn_graphs(True), drawn_graphs(False)))
     def test_searches_match_the_oracle(self, g):
@@ -143,8 +142,8 @@ class TestAgainstOracle:
         known = g.nodes[0]
         calls = [
             lambda: g.bfs_distances("zz"),
-            lambda: g.bfs_distances("zz", until="yy"),
-            lambda: g.bfs_distances(known, until="zz"),
+            lambda: g.shortest_path("zz", known),
+            lambda: g.shortest_path(known, "zz"),
             lambda: g.hop_distance("zz", known),
             lambda: g.hop_distance(known, "zz"),
             lambda: g.hop_distance("zz", "yy"),
@@ -225,23 +224,21 @@ class TestDistancesAndStatus:
         with pytest.raises(GraphError):
             path_graph(2).bfs_distances("nope")
 
-    def test_unknown_until(self):
-        with pytest.raises(GraphError):
-            path_graph(2).bfs_distances("v1", until="nope")
-
     @given(st.one_of(connected_graphs(), any_graphs(), drawn_graphs(True), drawn_graphs(False)))
-    def test_bfs_until_labels_exactly_the_ball_reaching_until(self, g):
-        for source in g.nodes:
-            full = oracle_bfs(g.nodes, g.edges, source)
-            for until in g.nodes:
-                radius = full.get(until)
-                expected = {
-                    node: full[node]
-                    if node in full and (radius is None or full[node] <= radius)
-                    else None
-                    for node in g.nodes
-                }
-                assert g.bfs_distances(source, until=until) == expected
+    def test_shortest_path_steps_to_the_least_nearer_neighbour(self, g):
+        for b in g.nodes:
+            dist = oracle_bfs(g.nodes, g.edges, b)
+            for a in g.nodes:
+                path = g.shortest_path(a, b)
+                if a not in dist:
+                    assert path is None
+                    continue
+                assert len(path) == dist[a] + 1
+                assert path[0] == a and path[-1] == b
+                for u, v in zip(path, path[1:]):
+                    assert g.has_edge(u, v)
+                    nearer = [w for w in g.neighbors(u) if dist.get(w) == dist[u] - 1]
+                    assert v == min(nearer)
 
     @given(st.one_of(connected_graphs(), any_graphs(), drawn_graphs(True), drawn_graphs(False)))
     def test_hop_distance_matches_oracle_on_every_pair(self, g):
@@ -364,16 +361,6 @@ class TestBitmaskKernel:
             else:
                 assert _statuses(adj) == expected, (p, mask)
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
-    def test_edge_masks_in_order_with_their_adjacency(self, p):
-        pairs = p * (p - 1) // 2
-        for q in range(pairs + 1):
-            expected = [
-                graph_of_mask(p, sum(1 << k for k in combo))[2]
-                for combo in combinations(range(pairs), q)
-            ]
-            assert [list(adj) for adj in _labeled_graphs(p, q)] == expected, (p, q)
-
     @pytest.mark.parametrize("p, count", enumerate(LABELED_CONNECTED, 1))
     def test_bound_violation_counts_matches_a001187(self, p, count):
         rows = list(bound_violation_counts(p))
@@ -387,12 +374,13 @@ class TestBitmaskKernel:
 
 
 def all_labeled(p):
-    """(q, adjacency, statuses) of every labeled connected graph on p nodes."""
-    for q in range(p - 1, p * (p - 1) // 2 + 1):
-        for adj in _labeled_graphs(p, q):
-            statuses = _statuses(adj)
-            if statuses is not None:
-                yield q, adj, statuses
+    """(q, adjacency, statuses) of every labeled connected graph on p nodes,
+    one for each edge mask (graph_of_mask)."""
+    for mask in range(1 << (p * (p - 1) // 2)):
+        _, edges, adj = graph_of_mask(p, mask)
+        statuses = _statuses(adj)
+        if statuses is not None:
+            yield len(edges), adj, statuses
 
 
 def labeled_classes(p):

@@ -353,8 +353,9 @@ class TestConnectedReplacement:
 
 
 def test_ten_thousand_node_document_against_the_oracles():
-    """A document with p >= 10^4: its 0-graph is the oracle's, and 30
-    sampled statuses are w^mu times the oracle's finite statuses."""
+    """A document with p >= 10^4: its 0-graph is the oracle's, 30 sampled
+    statuses are w^mu times the oracle's finite statuses, and 20 sampled
+    geodesics between distinct 0-nodes are the oracle's."""
     doc = wide_document(5000, seed=13)
     graph = parse_document(document_text(doc))
     result = build_replacement(graph)
@@ -371,6 +372,15 @@ def test_ten_thousand_node_document_against_the_oracles():
     for source, status in zip(sources, finite):
         expected = oracle_ordinal_text(doc["rank"], status)
         assert str(mu_status(graph, result, source)) == expected, source
+    oracle = OracleSession(doc)
+    rng = random.Random(17)
+    ids = sorted(zero_node)
+    pairs = 0
+    while pairs < 20:
+        a, b = rng.sample(ids, 2)
+        if zero_node[a] != zero_node[b]:
+            assert geodesic(graph, result, a, b) == oracle.geodesic(a, b), (a, b)
+            pairs += 1
 
 
 class TestReport:
