@@ -410,9 +410,14 @@ def _leaf_word(adj: Sequence[int], cells: list[int]) -> int:
     return word
 
 
-def _canonical_form(adj: Sequence[int]) -> tuple[int, int, tuple[bytes, ...]]:
+def _canonical_form(
+    adj: Sequence[int],
+) -> tuple[int, int, tuple[bytes, ...], list[int], list[int]]:
     """(canonical word, automorphism count, generators of the automorphism
-    group) of a graph given by its adjacency bitmasks.
+    group, orbit, label) of a graph given by its adjacency bitmasks:
+    orbit[v] names the orbit of node v under the whole group (two nodes
+    share an orbit exactly when their entries are equal), and label[v] is
+    v's canonical label, the index of v's row in the canonical word.
 
     A search tree of ordered partitions (McKay, "Practical graph
     isomorphism", 1981): the root refines the unit partition, a child
@@ -451,9 +456,11 @@ def _canonical_form(adj: Sequence[int]) -> tuple[int, int, tuple[bytes, ...]]:
     path, those found from a level down fix its prefix, act on the
     first-path child's orbit transitively, and include the generators of
     its stabiliser, so they generate the whole stabiliser of the prefix.
-    Each generator g comes as the bytes of g(i) over the labels i of the
-    least leaf, which are the labels of the canonical word's rows (bytes
-    are the smallest sequence of small ints to keep for a whole level).
+    So the orbit list, which joins the cycles of every automorphism
+    found, ends with the orbits of the whole group.  Each generator g
+    comes as the bytes of g(i) over the labels i of the least leaf,
+    which are the labels of the canonical word's rows (bytes are the
+    smallest sequence of small ints to keep on the walk's stack).
     """
     p = len(adj)
     full = (1 << p) - 1
@@ -500,7 +507,7 @@ def _canonical_form(adj: Sequence[int]) -> tuple[int, int, tuple[bytes, ...]]:
     for i, v in enumerate(best_leaf):
         label[v] = i
     generators = tuple(bytes(label[image[v]] for v in best_leaf) for image in found)
-    return best, automorphisms, generators
+    return best, automorphisms, generators, orbit, label
 
 
 def _rows(word: int, p: int) -> list[int]:
@@ -521,13 +528,13 @@ def _spans(adj: Sequence[int], nodes: int) -> bool:
     return reached == nodes
 
 
-def _least_invariant_last(adj: Sequence[int]) -> int:
-    """0 when a non-cut node (one whose deletion leaves the graph
-    connected) has a smaller (degree, sorted neighbour degrees) than the
-    last node, which the caller knows to be non-cut; otherwise the
-    number of non-cut nodes that have the same, the last one included.
-    Neighbour degrees are compared only on a degree tie, and a tied node
-    is tried for a cut only when no smaller non-cut node turns up."""
+def _least_invariant_last(adj: Sequence[int]) -> list[int]:
+    """The non-cut nodes (those whose deletion leaves the graph connected)
+    that share the last node's (degree, sorted neighbour degrees), the
+    last one included, which the caller knows to be non-cut; empty when
+    a non-cut node has a smaller one.  Neighbour degrees are compared
+    only on a degree tie, and a tied node is tried for a cut only when
+    no smaller non-cut node turns up."""
     last = len(adj) - 1
     nodes = (1 << len(adj)) - 1
     degrees = [row.bit_count() for row in adj]
@@ -547,8 +554,11 @@ def _least_invariant_last(adj: Sequence[int]) -> int:
             if other > profile:
                 continue
         if _spans(adj, nodes ^ 1 << u):
-            return 0
-    return 1 + sum(_spans(adj, nodes ^ 1 << u) for u in ties)
+            return []
+    if ties:
+        ties = [u for u in ties if _spans(adj, nodes ^ 1 << u)]
+    ties.append(last)
+    return ties
 
 
 def _orbit_representatives(generators: Sequence[Sequence[int]], n: int) -> dict[int, int]:
@@ -580,128 +590,110 @@ def _orbit_representatives(generators: Sequence[Sequence[int]], n: int) -> dict[
     return representatives
 
 
-def _extensions(
-    level: dict[int, int], generators: dict[int, tuple[bytes, ...]], n: int
-) -> Iterator[tuple[list[int], int, int]]:
-    """(adjacency, |Aut(P)| / |orbit of S|, _least_invariant_last) of each
-    graph that joins a new node n to the least set S of an orbit of
-    Aut(P), for each class P on n nodes (the rows of a word of level),
-    and passes _least_invariant_last.  The generators of each class's
-    group are popped as it is extended."""
-    top = 1 << n
-    for word, automorphisms in level.items():
-        rows = _rows(word, n)
-        for joined, orbit in _orbit_representatives(generators.pop(word, ()), n).items():
-            adj = rows + [joined]
-            for v in _MEMBERS[joined]:
-                adj[v] |= top
-            ties = _least_invariant_last(adj)
-            if ties:
-                yield adj, automorphisms // orbit, ties
-
-
-def _class_walk(max_p: int) -> Iterator[Iterable[tuple[list[int], int, int]]]:
-    """(adjacency bitmasks, stabiliser order s, tie count c) of connected
-    graphs on n nodes, one level for each n = 1, ..., max_p; the last
-    level is built as it is read.  For every connected graph G on n
-    nodes, 1/(s*c) summed over the graphs of level n isomorphic to G is
-    1/|Aut G|.
+def _class_walk(max_p: int) -> Iterator[tuple[int, list[int], int, int]]:
+    """(n, adjacency bitmasks, stabiliser order s, tie count c) of connected
+    graphs on n = 1, ..., max_p nodes, depth first from the single node.
+    For every connected graph G on n nodes, 1/(s*c) summed over the
+    graphs on n nodes isomorphic to G is 1/|Aut G|.
 
     Every connected graph on n >= 2 nodes has a non-cut node (an end of a
     longest path).  Let C(G) be the non-cut nodes of G that share the
-    least (degree, sorted neighbour degrees) among them.  Each level
-    joins a new last node to non-empty node sets of every class of the
-    level before it, and keeps the graphs whose new node lies in C
-    (_least_invariant_last).  Two prunings cut the extensions, and each
-    keeps every rooted class (G, m) with m in C(G):
+    least (degree, sorted neighbour degrees) among them.  The walk joins
+    a new last node to non-empty node sets of each graph it keeps on
+    fewer than max_p nodes, and keeps the extensions whose new node lies
+    in C (_least_invariant_last).  Given one kept graph per class on one
+    node fewer, two prunings cut the extensions, and each keeps every
+    rooted class (G, m) with m in C(G):
 
-    - The rule.  G - m is connected, so its class P is in the level
-      before, and joining the new node to the nodes that m's neighbours
-      become there gives G again, with the new node in m's place.  The
-      invariant does not depend on labels, so that extension passes
-      _least_invariant_last.
+    - The rule.  G - m is connected, so a graph P of its class is kept,
+      and joining the new node to the nodes that m's neighbours become
+      there gives G again, with the new node in m's place.  The invariant does not
+      depend on labels, so that extension passes _least_invariant_last.
     - Orbits.  Only the least node set of each orbit of the parent's
       automorphism group is joined (_orbit_representatives).  If g maps
       one set onto another, g extended by the new node is an isomorphism
       between the two extensions that fixes the new node, so they are
       one rooted class.  The generators come from the parent's
-      _canonical_form, in the labels of its canonical rows; they are
-      kept for the level being extended only.
+      _canonical_form, in the labels of its canonical rows, and wait
+      with them on the stack until the parent is extended.
 
     Conversely, an isomorphism between two extensions that maps the one
     new node onto the other maps the one parent onto the other.  The
     parents are one class, so they have the same rows, and it maps the
     one joined set onto the other by an automorphism of P: by the orbit
     pruning the two extensions are one.  So the walk reaches each rooted
-    class exactly once.  Taking the two
-    extensions equal, the automorphisms of G that fix the new node are
-    the stabiliser of S in Aut(P), of order s = |Aut(P)| / |orbit of S|.
+    class exactly once.
+
+    Below the last level, canonical deletion keeps one graph per class:
+    an extension stays when its new node lies in the Aut(G)-orbit of the
+    node of C(G) with the least canonical label (_canonical_form).  The
+    canonical labelings of G differ by automorphisms, so that orbit
+    depends on G alone, and the rooted classes (G, m) with m in it are
+    one rooted class, reached once.  So each class comes exactly once,
+    with no set of words seen before, as its canonical rows with s =
+    |Aut G| and c = 1 (McKay, "Isomorph-free exhaustive generation", J.
+    Algorithms 26, 1998), and the next level has one parent per class.
+
+    The last level needs no canonical form.  Taking the two extensions
+    equal above, the automorphisms of G that fix the new node are the
+    stabiliser of S in Aut(P), of order s = |Aut(P)| / |orbit of S|.
     The rooted classes of G are the orbits of Aut(G) on C(G), and the
     orbit of m has |Aut G| / s nodes, so 1/s summed over the extensions
     isomorphic to G is |C(G)| / |Aut G|.  |C(G)| does not depend on the
-    labels, so each extension reads it off itself: it is the c that
-    _least_invariant_last returns.  No automorphism of G and no canonical
-    form is needed (canonical augmentation, McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 26, 1998).
-
-    Only the levels that the next one extends are kept whole, with one
-    graph per canonical word, since the next level's orbit pruning needs
-    their generators; each of their graphs has s = |Aut G| and c = 1.
+    labels, so each extension reads it off itself: c is the number of
+    nodes that _least_invariant_last returns.
     """
-    yield [([0], 1, 1)]  # the single node
-    level = {0: 1}  # the canonical word of the single node: one automorphism
-    generators: dict[int, tuple[bytes, ...]] = {}  # only for nontrivial groups
-    for n in range(1, max_p):
-        extensions = _extensions(level, generators, n)
-        if n + 1 == max_p:
-            yield extensions
-            return
-        grown: dict[int, int] = {}
-        grown_generators = {}
-        for adj, _, _ in extensions:
-            canonical, automorphisms, found = _canonical_form(adj)
-            if canonical not in grown:
-                grown[canonical] = automorphisms
-                if found:
-                    grown_generators[canonical] = found
-        level, generators = grown, grown_generators
-        yield [(_rows(word, n + 1), automorphisms, 1) for word, automorphisms in level.items()]
-
-
-def _connected_classes(max_p: int) -> Iterator[dict[int, int]]:
-    """{canonical word: automorphism count} of the isomorphism classes of
-    connected graphs on n nodes, one level for each n = 1, ..., max_p:
-    the graphs of _class_walk, each named by its _canonical_form."""
-    for level in _class_walk(max_p):
-        yield dict(_canonical_form(adj)[:2] for adj, _, _ in level)
+    yield 1, [0], 1, 1  # the single node
+    # (canonical rows, |Aut|, generators) of each kept graph not yet extended
+    stack = [([0], 1, ())] if max_p > 1 else []
+    while stack:
+        rows, automorphisms, generators = stack.pop()
+        n = len(rows)
+        top = 1 << n
+        for joined, orbit_size in _orbit_representatives(generators, n).items():
+            adj = rows + [joined]
+            for v in _MEMBERS[joined]:
+                adj[v] |= top
+            ties = _least_invariant_last(adj)
+            if not ties:
+                continue
+            if n + 1 == max_p:
+                yield max_p, adj, automorphisms // orbit_size, len(ties)
+                continue
+            word, child_automorphisms, found, orbit, label = _canonical_form(adj)
+            if orbit[n] == orbit[min(ties, key=label.__getitem__)]:
+                child = _rows(word, n + 1)
+                yield n + 1, child, child_automorphisms, 1
+                stack.append((child, child_automorphisms, found))
 
 
 def bound_violation_counts(max_p: int) -> Iterator[tuple[int, int, int]]:
     """(p, labeled connected graphs, labeled nodes outside the status
-    bounds) for p = 1, ..., max_p <= MAX_VERIFY_NODES, each row as soon
-    as one walk (_class_walk) has built its level on p nodes.
+    bounds) for p = 1, ..., max_p <= MAX_VERIFY_NODES, all rows once the
+    walk (_class_walk) has ended.
 
     A status multiset does not depend on the labels, so each graph of
     the walk is checked with a BFS from every node and no pruning, and
     counts for p!/(s*c) labeled graphs: for each class G these sum to
     p!/|Aut G|, the labeled graphs isomorphic to G.  The sums stay exact
     integers: s is the order of a group of permutations of at most p
-    nodes, so p!/s is an integer, and every tie count c <= p divides
-    L = lcm(1, ..., p).  So each graph adds the integer weight
-    p!/s * L/c, and the level's sums of weights and of weights times the
-    nodes outside the bounds are L times the labeled graphs and nodes,
-    divided by L once per level.
+    nodes, so p!/s is an integer, and every tie count c <= max_p divides
+    L = lcm(1, ..., max_p).  So each graph adds the integer weight
+    p!/s * L/c to its p's sums of weights and of weights times the nodes
+    outside the bounds, which are L times the labeled graphs and nodes,
+    divided by L once at the end.
     """
     _check_enumeration_size(max_p, "verification", MAX_VERIFY_NODES)
-    for p, level in enumerate(_class_walk(max_p), 1):
-        scale = lcm(*range(1, p + 1))
-        graphs = violations = 0
-        for adj, stabiliser, ties in level:
-            weight = factorial(p) // stabiliser * (scale // ties)
-            lower, upper = status_bounds_values(p, sum(row.bit_count() for row in adj) // 2)
-            graphs += weight
-            violations += weight * sum(not lower <= s <= upper for s in _statuses(adj))
-        yield p, graphs // scale, violations // scale
+    scale = lcm(*range(1, max_p + 1))
+    graphs = [0] * (max_p + 1)
+    violations = [0] * (max_p + 1)
+    for p, adj, stabiliser, ties in _class_walk(max_p):
+        weight = factorial(p) // stabiliser * (scale // ties)
+        lower, upper = status_bounds_values(p, sum(row.bit_count() for row in adj) // 2)
+        graphs[p] += weight
+        violations[p] += weight * sum(not lower <= s <= upper for s in _statuses(adj))
+    for p in range(1, max_p + 1):
+        yield p, graphs[p] // scale, violations[p] // scale
 
 
 def _upper_witness(p: int, q: int) -> tuple[list[tuple[int, int]], int]:

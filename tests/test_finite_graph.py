@@ -20,8 +20,6 @@ from tgstatus.finite_graph import (
     MAX_VERIFY_NODES,
     _canonical_form,
     _class_walk,
-    _connected_classes,
-    _extensions,
     _least_invariant_last,
     _orbit_representatives,
     _statuses,
@@ -396,10 +394,22 @@ def rows_of(word, p):
     return [word >> (p * i) & (1 << p) - 1 for i in range(p)]
 
 
-def brute_force_tie_count(adj):
-    """|C| of the graph when its last node is in C, else 0: C is the set
-    of non-cut nodes (by an oracle BFS on the graph without them) that
-    share the least (degree, sorted neighbour degrees) among them."""
+def walk_classes(max_p):
+    """{canonical word: automorphism count} of the classes of the graphs
+    that _class_walk(max_p) yields on n nodes, one dict for each
+    n = 1, ..., max_p; each graph is named by its _canonical_form."""
+    levels = [{} for _ in range(max_p)]
+    for n, adj, _, _ in _class_walk(max_p):
+        word, automorphisms = _canonical_form(adj)[:2]
+        levels[n - 1][word] = automorphisms
+    return levels
+
+
+def brute_force_ties(adj):
+    """The nodes of C, in increasing order, when the graph's last node is
+    in C, else []: C is the set of non-cut nodes (by an oracle BFS on the
+    graph without them) that share the least (degree, sorted neighbour
+    degrees) among them."""
     p = len(adj)
     edges = [(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
 
@@ -415,7 +425,7 @@ def brute_force_tie_count(adj):
             non_cut.append(v)
     least = min(invariant(v) for v in non_cut)
     ties = [v for v in non_cut if invariant(v) == least]
-    return len(ties) if p - 1 in ties else 0
+    return ties if p - 1 in ties else []
 
 
 class TestIsomorphismClasses:
@@ -428,7 +438,7 @@ class TestIsomorphismClasses:
             representative = rows_of(word, p)
             assert _canonical_form(representative)[:2] == (word, automorphisms)
             assert multisets == [sorted(_statuses(representative))] * len(multisets)
-        level = list(_connected_classes(p))[p - 1]
+        level = walk_classes(p)[p - 1]
         generated = [(*_canonical_form(rows_of(word, p))[:2], aut) for word, aut in level.items()]
         assert sorted(generated) == sorted((word, aut, aut) for word, aut in groups)
 
@@ -462,10 +472,10 @@ class TestIsomorphismClasses:
         assert not _least_invariant_last(adj)
         # The path: both ends have (1, [2]), an equal invariant.
         _, _, adj = graph_of_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert _least_invariant_last(adj) == 2
+        assert _least_invariant_last(adj) == [0, 4]
         # A triangle with a pendant last node: no other node has (1, [3]).
         _, _, adj = graph_of_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
-        assert _least_invariant_last(adj) == 1
+        assert _least_invariant_last(adj) == [3]
         # Triangles 0, 1, 2 and 6, 7, 8 joined by the path 0 3 4 5 6: the
         # cut node 4 has (2, [2, 2]), less than the (2, [2, 3]) of the last
         # node and of every non-cut node, and it is ignored.
@@ -474,13 +484,13 @@ class TestIsomorphismClasses:
         assert _least_invariant_last(adj)
 
     def test_p7_classes_sum_to_the_labeled_count(self):
-        levels = list(_connected_classes(7))
+        levels = walk_classes(7)
         assert [len(level) for level in levels] == CONNECTED_CLASSES
         for p, level in enumerate(levels, 1):
             assert sum(factorial(p) // aut for aut in level.values()) == LABELED_CONNECTED[p - 1]
 
     def test_classes_sum_to_the_labeled_count_of_every_edge_count(self):
-        for p, level in enumerate(_connected_classes(7), 1):
+        for p, level in enumerate(walk_classes(7), 1):
             labeled = Counter()
             for word, automorphisms in level.items():
                 q = sum(row.bit_count() for row in rows_of(word, p)) // 2
@@ -490,29 +500,43 @@ class TestIsomorphismClasses:
             assert [labeled[q] for q in range(comb(p, 2) + 1)] == expected, p
 
     def test_walk_generators_and_orbits_match_brute_force(self, monkeypatch):
-        # The generators that the walk keeps for each class are those of
-        # the class's first canonical form.
-        first = {}
+        # Every generator set that a canonical form in the walk gives a
+        # class (the walk keeps that of the extension it keeps), and that
+        # of the class's canonical rows, generates its whole group.
+        found = defaultdict(list)
 
         def recording(adj):
             form = _canonical_form(adj)
-            first.setdefault((len(adj), form[0]), form[2])
+            found[len(adj), form[0]].append(form[2])
             return form
 
         monkeypatch.setattr(finite_graph, "_canonical_form", recording)
-        for p, level in enumerate(_connected_classes(6), 1):
+        for p, level in enumerate(walk_classes(6), 1):
             for word, automorphisms in level.items():
-                generators = first.get((p, word), ())
                 adj = rows_of(word, p)
                 edges = {(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1}
-                for g in generators:
-                    assert {tuple(sorted((g[i], g[j]))) for i, j in edges} == edges, (p, word)
                 count = oracle_automorphism_count(p, edges)
-                assert len(oracle_generated_group(p, generators)) == count == automorphisms
-                kept = _orbit_representatives(generators, p)
                 orbits = oracle_node_set_orbits(p, oracle_automorphisms(p, edges))
-                assert list(kept) == sorted(min(orbit) for orbit in orbits), (p, word)
-                assert kept == {min(orbit): len(orbit) for orbit in orbits}, (p, word)
+                for generators in found[p, word] + [_canonical_form(adj)[2]]:
+                    for g in generators:
+                        assert {tuple(sorted((g[i], g[j]))) for i, j in edges} == edges, (p, word)
+                    assert len(oracle_generated_group(p, generators)) == count == automorphisms
+                    kept = _orbit_representatives(generators, p)
+                    assert list(kept) == sorted(min(orbit) for orbit in orbits), (p, word)
+                    assert kept == {min(orbit): len(orbit) for orbit in orbits}, (p, word)
+
+    def test_walk_yields_each_class_once_below_the_last_level(self):
+        # Canonical deletion keeps one graph per class on n < max_p nodes,
+        # as its canonical rows, with no set of words seen before.
+        seen = set()
+        for n, adj, stabiliser, ties in _class_walk(7):
+            if n < 7:
+                word, automorphisms = _canonical_form(adj)[:2]
+                assert (n, word) not in seen, (n, adj)
+                assert adj == rows_of(word, n)
+                assert (stabiliser, ties) == (automorphisms, 1)
+                seen.add((n, word))
+        assert [sum(n == k for n, _ in seen) for k in range(1, 7)] == CONNECTED_CLASSES[:6]
 
     @pytest.mark.parametrize("max_p, calls", [(6, 30), (7, 143)])
     def test_verify_ejs_builds_each_level_once(self, max_p, calls, monkeypatch):
@@ -552,9 +576,10 @@ class TestIsomorphismClasses:
 
     def test_last_level_sums_to_the_labeled_count_of_every_edge_count(self):
         for p in range(1, 8):
-            *_, last = _class_walk(p)
             labeled = Counter()
-            for adj, stabiliser, ties in last:
+            for n, adj, stabiliser, ties in _class_walk(p):
+                if n < p:
+                    continue
                 q = sum(row.bit_count() for row in adj) // 2
                 labeled[q] += Fraction(factorial(p), stabiliser * ties)
             expected = [oracle_connected_edge_count(p, q) for q in range(comb(p, 2) + 1)]
@@ -566,10 +591,10 @@ class TestIsomorphismClasses:
         # the extensions in G's class is 1/|Aut G|.  An extension with
         # |C| = 1 is therefore its class's only one, with |Stab(S)| =
         # |Aut G|.
-        parents = list(_connected_classes(p - 1))[-1]
-        generators = {word: _canonical_form(rows_of(word, p - 1))[2] for word in parents}
         weights, extensions, unique, edges_of = Counter(), Counter(), set(), {}
-        for adj, stabiliser, ties in _extensions(parents, generators, p - 1):
+        for n, adj, stabiliser, ties in _class_walk(p):
+            if n < p:
+                continue
             canonical = _canonical_form(adj)[0]
             weights[canonical] += Fraction(1, stabiliser * ties)
             extensions[canonical] += 1
@@ -590,12 +615,12 @@ class TestIsomorphismClasses:
         # Every node set joined to a new node of every class on p - 1
         # nodes; a node is non-cut when an oracle BFS on the rest reaches
         # every other node.
-        for word in list(_connected_classes(p - 1))[-1]:
+        for word in walk_classes(p - 1)[-1]:
             rows = rows_of(word, p - 1)
             for joined in range(1, 1 << (p - 1)):
                 adj = [row | (joined >> v & 1) << (p - 1) for v, row in enumerate(rows)]
                 adj.append(joined)
-                assert _least_invariant_last(adj) == brute_force_tie_count(adj), (p, adj)
+                assert _least_invariant_last(adj) == brute_force_ties(adj), (p, adj)
 
     def test_tie_count_skips_a_cut_node_that_ties(self):
         # Triangles 0 1 2 and 5 6 7 joined by the path 2 3 4 5.  The cut
@@ -604,8 +629,8 @@ class TestIsomorphismClasses:
         # nodes has a cut node tied with the least non-cut invariant.
         edges = [(0, 1), (0, 2), (1, 2), (5, 6), (5, 7), (6, 7), (2, 3), (3, 4), (4, 5)]
         _, _, adj = graph_of_edges(8, edges)
-        assert brute_force_tie_count(adj) == 4
-        assert _least_invariant_last(adj) == 4
+        assert brute_force_ties(adj) == [0, 1, 6, 7]
+        assert _least_invariant_last(adj) == [0, 1, 6, 7]
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_violations_count_labeled_nodes(self, p, monkeypatch):
@@ -669,13 +694,38 @@ class TestCanonicalForm:
     def test_known_group_orders_under_relabeling(self, graph, automorphisms):
         p, edges = graph
         _, _, adj = graph_of_edges(p, edges)
-        word, count, _ = _canonical_form(adj)
+        word, count, *_ = _canonical_form(adj)
         assert count == automorphisms
         rng = random.Random(p * 1000 + len(edges))
         for _ in range(20):
             perm = rng.sample(range(p), p)
             _, _, relabeled = graph_of_edges(p, [(perm[u], perm[v]) for u, v in edges])
             assert _canonical_form(relabeled)[:2] == (word, automorphisms)
+
+    def test_orbits_and_labels_match_brute_force(self):
+        # Every class on up to 6 nodes, relabeled at random: label takes
+        # the graph onto its canonical rows, and two nodes share an orbit
+        # entry exactly when an automorphism maps the one to the other.
+        rng = random.Random(6)
+        for p, level in enumerate(walk_classes(6), 1):
+            for word in level:
+                perm = rng.sample(range(p), p)
+                rows = rows_of(word, p)
+                edges = [
+                    (perm[i], perm[j]) for i in range(p) for j in range(i + 1, p) if rows[i] >> j & 1
+                ]
+                _, _, adj = graph_of_edges(p, edges)
+                canonical, _, _, orbit, label = _canonical_form(adj)
+                assert canonical == word
+                relabeled = [0] * p
+                for u, v in edges:
+                    relabeled[label[u]] |= 1 << label[v]
+                    relabeled[label[v]] |= 1 << label[u]
+                assert sorted(label) == list(range(p)) and relabeled == rows, (p, edges)
+                automorphisms = oracle_automorphisms(p, edges)
+                for u in range(p):
+                    images = {g[u] for g in automorphisms}
+                    assert {v for v in range(p) if orbit[v] == orbit[u]} == images, (p, edges)
 
     def test_complete_graph_search_stays_small(self, monkeypatch):
         # Orbit pruning explores one sibling per level of K9's first path;
@@ -693,7 +743,7 @@ class TestCanonicalForm:
         assert len(calls) <= 500
 
     def test_automorphism_counts_match_brute_force(self):
-        levels = list(_connected_classes(7))
+        levels = walk_classes(7)
         classes = [(p, word) for p, level in enumerate(levels[:6], 1) for word in level]
         assert len(classes) == sum(CONNECTED_CLASSES[:6]) == 143
         classes += [(7, word) for word in random.Random(7).sample(sorted(levels[6]), 60)]
@@ -760,7 +810,7 @@ class TestExtremalSearch:
     def test_upper_bound_attained_exactly_on_paths_into_cliques(self):
         # Both directions over every connected class with p <= 7.
         attained = set()
-        for p, level in enumerate(_connected_classes(7), 1):
+        for p, level in enumerate(walk_classes(7), 1):
             for word in level:
                 adj = rows_of(word, p)
                 edges = [(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]

@@ -153,6 +153,36 @@ class TestGeodesic:
         assert geodesic(g, r, "X1", "X2") == AbstractPath(("X1", "S1", "X2"))
         assert geodesic(g, r, "X2", "X1") == AbstractPath(("X2", "S1", "X1"))
 
+    def test_tie_break_by_id_not_by_edge_order(self):
+        # X9 is declared, and so joined to S1, before X1: a walk back to
+        # the first nearer neighbour in edge order would step to X9.
+        doc = {
+            "rank": 2,
+            "sections": [
+                {
+                    "id": section,
+                    "internal_nodes": [{"id": rep, "rank": 1, "nonsingleton": True}],
+                    "representative": rep,
+                }
+                for section, rep in (("S1", "y1"), ("S2", "y2"))
+            ],
+            "mu_nodes": [
+                {
+                    "id": mu,
+                    "tips": [
+                        {"id": f"{mu}a", "section": "S1"},
+                        {"id": f"{mu}b", "section": "S2"},
+                    ],
+                }
+                for mu in ("X9", "X1")
+            ],
+            "nondisconnectable_pairs": [],
+            "include_singletons": [],
+        }
+        g = parse_document(document_text(doc))
+        assert geodesic(g, build_replacement(g), "y1", "y2") == AbstractPath(("S1", "X1", "S2"))
+        self.check_against_oracle(doc)
+
     def test_length_matches_distance(self):
         from tgstatus.replacement import path_mu_length
 
