@@ -561,6 +561,19 @@ def _least_invariant_last(adj: Sequence[int]) -> list[int]:
     return ties
 
 
+def _non_cut_below(adj: Sequence[int]) -> list[int]:
+    """Item k, for k = 0, ..., n: the bitmask of the non-cut nodes of
+    degree < k of a graph on n nodes."""
+    n = len(adj)
+    nodes = (1 << n) - 1
+    below = [0] * (n + 1)
+    for u, row in enumerate(adj):
+        if _spans(adj, nodes ^ 1 << u):
+            for k in range(row.bit_count() + 1, n + 1):
+                below[k] |= 1 << u
+    return below
+
+
 def _orbit_representatives(generators: Sequence[Sequence[int]], n: int) -> dict[int, int]:
     """{least node bitmask: orbit size} of each orbit of the group that the
     permutations generate (each the sequence of g(v) over the nodes v) on
@@ -617,6 +630,13 @@ def _class_walk(max_p: int) -> Iterator[tuple[int, list[int], int, int]]:
       _canonical_form, in the labels of its canonical rows, and wait
       with them on the stack until the parent is extended.
 
+    A pre-test skips, before its rows are built, each joined set S that
+    leaves out a non-cut node u of the parent of degree < |S|
+    (_non_cut_below).  u stays non-cut: the parent minus u is connected,
+    and the new node has a neighbour in S, which u is not in.  u keeps
+    its degree, which is below the new node's |S|, so _least_invariant_last
+    would reject the extension anyway.
+
     Conversely, an isomorphism between two extensions that maps the one
     new node onto the other maps the one parent onto the other.  The
     parents are one class, so they have the same rows, and it maps the
@@ -650,7 +670,10 @@ def _class_walk(max_p: int) -> Iterator[tuple[int, list[int], int, int]]:
         rows, automorphisms, generators = stack.pop()
         n = len(rows)
         top = 1 << n
+        below = _non_cut_below(rows)
         for joined, orbit_size in _orbit_representatives(generators, n).items():
+            if below[joined.bit_count()] & ~joined:
+                continue
             adj = rows + [joined]
             for v in _MEMBERS[joined]:
                 adj[v] |= top

@@ -102,12 +102,12 @@ class Ordinal:
             return self
         left = self._terms
         lead = right[0][0]
-        if len(right) == 1 and left and left[-1][0] == lead:
-            # Every addition of a status sum lands here: one term at the
-            # exponent of self's last term merges into its coefficient,
-            # without the scan below or an _of call.
+        if len(left) == 1 and len(right) == 1 and left[0][0] == lead:
+            # A status sum lands here for each non-zero distance after
+            # its first: two one-term ordinals at one exponent add their
+            # coefficients, with no scan, slice or _of call.
             total = object.__new__(Ordinal)
-            total._terms = left[:-1] + ((lead, left[-1][1] + right[0][1]),)
+            total._terms = ((lead, left[0][1] + right[0][1]),)
             return total
         # One pass from the low end of self: its terms below the leading
         # exponent of other are absorbed, a term at that exponent merges

@@ -145,7 +145,10 @@ def mu_status(graph: TransfiniteGraph, result: ReplacementResult, x: str) -> Ord
     included singleton (the self term contributes 0).
 
     Each distinct distance w^mu*h is built once, for h up to the BFS
-    depth of x; the sum still takes one ordinal addition per 0-node."""
+    depth of x; the sum still takes one ordinal addition per 0-node.
+    Every distance is 0 or one term at exponent mu, so once the sum is
+    non-zero, adding a non-zero distance adds two one-term ordinals at
+    one exponent, which Ordinal.__add__ does in one step."""
     if graph.has_mu_node(x) and not graph.mu_node(x).is_nonsingleton:
         raise StatusError(
             f"status is defined only for nonsingleton nodes; {x!r} is a singleton mu-node"

@@ -21,6 +21,7 @@ from tgstatus.finite_graph import (
     _canonical_form,
     _class_walk,
     _least_invariant_last,
+    _non_cut_below,
     _orbit_representatives,
     _statuses,
     _upper_witness,
@@ -566,6 +567,55 @@ class TestIsomorphismClasses:
             # The single node needs no search, and the 30 classes on 2..5
             # nodes are each reached once.
             assert [counted.count(n) for n in range(2, 6)] == CONNECTED_CLASSES[1:5]
+
+    @pytest.mark.parametrize("max_p, calls", [(6, 225), (8, 22735)])
+    def test_verify_ejs_tests_few_extensions(self, max_p, calls, monkeypatch):
+        # The pre-test (_non_cut_below) skips the joined sets that leave a
+        # non-cut node of smaller degree, before _least_invariant_last
+        # (388 and 71,300 calls without it).
+        counted = []
+
+        def counting(adj):
+            counted.append(len(adj))
+            return _least_invariant_last(adj)
+
+        monkeypatch.setattr(finite_graph, "_least_invariant_last", counting)
+        result = CliRunner().invoke(main, ["verify-ejs", "--max-p", str(max_p)])
+        assert result.exit_code == 0
+        assert len(counted) == calls
+
+    def test_non_cut_below_matches_its_definition(self):
+        for n in range(1, 7):
+            for _, adj, _ in all_labeled(n):
+                edges = [(i, j) for i in range(n) for j in range(i + 1, n) if adj[i] >> j & 1]
+                non_cut = [
+                    n == 1 or len(oracle_bfs(
+                        [v for v in range(n) if v != u],
+                        [e for e in edges if u not in e],
+                        (u + 1) % n,
+                    )) == n - 1
+                    for u in range(n)
+                ]
+                expected = [
+                    sum(1 << u for u in range(n) if non_cut[u] and adj[u].bit_count() < k)
+                    for k in range(n + 1)
+                ]
+                assert _non_cut_below(adj) == expected, adj
+
+    def test_pre_test_rejects_only_what_the_deletion_rule_rejects(self):
+        rejected = 0
+        for n, rows, _, _ in _class_walk(7):
+            if n == 7:
+                continue
+            below = _non_cut_below(rows)
+            for joined in _orbit_representatives(_canonical_form(rows)[2], n):
+                if below[joined.bit_count()] & ~joined:
+                    adj = rows + [joined]
+                    for v in range(n):
+                        adj[v] |= (joined >> v & 1) << n
+                    assert _least_invariant_last(adj) == [], (rows, joined)
+                    rejected += 1
+        assert rejected
 
     @pytest.mark.parametrize("max_p", [1, 2, 3, 4, 5, 6, 7])
     def test_last_level_rows_match_the_full_walk(self, max_p):

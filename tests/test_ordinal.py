@@ -223,6 +223,14 @@ class TestBuiltResults:
     @example([parse_ordinal("w^4*2 + w^3 + w^2*3"), omega_term(2, 4)])
     @example([parse_ordinal("w^4*2 + w^3 + w^2*3"), omega_term(3, 4)])
     @example([parse_ordinal("w^4*2 + w^3 + w^2*3"), omega_term(1, 4)])
+    # Two one-term ordinals at one exponent, which add in one step:
+    # finite, at exponent 1, and with coefficients above 2**64; and 0
+    # plus a one-term ordinal, and a one-term ordinal plus 0.
+    @example([omega_term(0, 5), omega_term(0, 7)])
+    @example([omega_term(1, 3), omega_term(1, 4)])
+    @example([omega_term(2, 2**64 + 1), omega_term(2, 2**65 + 3)])
+    @example([ZERO, omega_term(2, 4)])
+    @example([omega_term(2, 4), ZERO])
     def test_sums_match_oracle(self, summands):
         total = sum(summands, ZERO)
         assert total.terms == oracle_ordinal_sum(a.terms for a in summands)
