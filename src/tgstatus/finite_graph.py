@@ -134,9 +134,7 @@ class FiniteGraph:
         Empty and single-node graphs count as connected.
         """
         if self._connected is None:
-            self._connected = len(self._nodes) <= 1 or (
-                None not in self.bfs_distances(self._nodes[0]).values()
-            )
+            self._connected = len(self._nodes) <= 1 or None not in self._distances(0)
         return self._connected
 
     def _distances(self, start: int, stop: int = -1) -> list[int | None]:

@@ -144,20 +144,25 @@ def mu_status(graph: TransfiniteGraph, result: ReplacementResult, x: str) -> Ord
     nonsingleton mu-node, every section representative, and every
     included singleton (the self term contributes 0).
 
-    Each distinct distance w^mu*h is built once, for h up to the BFS
-    depth of x; the sum still takes one ordinal addition per 0-node.
-    Every distance is 0 or one term at exponent mu, so once the sum is
-    non-zero, adding a non-zero distance adds two one-term ordinals at
-    one exponent, which Ordinal.__add__ does in one step."""
+    The hop counts are the 0-graph's BFS row from x's 0-node, read by
+    node index.  Each distinct distance w^mu*h is built once, for h up
+    to the BFS depth of x: omega_term checks the rank once, building
+    the h = 0 term, and the terms for h >= 1 are built unchecked.  The
+    sum still takes one ordinal addition per 0-node.  Every distance is
+    0 or one term at exponent mu, so once the sum is non-zero, adding a
+    non-zero distance adds two one-term ordinals at one exponent, which
+    Ordinal.__add__ does in one step."""
     if graph.has_mu_node(x) and not graph.mu_node(x).is_nonsingleton:
         raise StatusError(
             f"status is defined only for nonsingleton nodes; {x!r} is a singleton mu-node"
         )
-    source = _zero_node(graph, result, x)
-    distances = result.graph.bfs_distances(source).values()
-    steps = [omega_term(graph.rank, hops) for hops in range(max(distances) + 1)]
+    zero_graph = result.graph
+    row = zero_graph._distances(zero_graph._node_index(_zero_node(graph, result, x)))
+    mu = graph.rank
+    steps = [omega_term(mu, 0)]
+    steps += [Ordinal._of(((mu, hops),)) for hops in range(1, max(row) + 1)]
     total = Ordinal()
-    for hops in distances:
+    for hops in row:
         total = total + steps[hops]
     return total
 

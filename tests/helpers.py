@@ -385,11 +385,14 @@ def chain_document(sections, rank=1):
     }
 
 
-def wide_document(sections, seed, rank=2):
+def wide_document(sections, seed, rank=2, max_tips=4):
     """Sections S1..Sn strung on a shuffled chain: mu-node Xi joins the
     i-th and (i+1)-th sections of the chain (the last one a random
-    section) and has up to two more tips in random sections, repeats
-    allowed.  A quarter of the sections hold a second, singleton internal
+    section) and has up to max_tips - 2 more tips in random sections,
+    repeats allowed.  With max_tips=2 the chain closes onto a random
+    section and nothing else joins it: a ring with a tail, whose BFS
+    depth from the tail's end is at least the number of sections.  A
+    quarter of the sections hold a second, singleton internal
     node; every 50th section has a singleton mu-node, every other one
     included.  The replacement has 2 * sections + sections // 100
     0-nodes."""
@@ -408,7 +411,7 @@ def wide_document(sections, seed, rank=2):
     mu_nodes = []
     for i in range(sections):
         homes = [order[i], order[i + 1] if i + 1 < sections else rng.choice(order)]
-        homes += [rng.choice(order) for _ in range(rng.randrange(3))]
+        homes += [rng.choice(order) for _ in range(rng.randrange(max_tips - 1))]
         tips = []
         for home in homes:
             serial += 1

@@ -1,5 +1,6 @@
 """Tests for transfinite distances, geodesics, statuses and reports."""
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -245,6 +246,12 @@ class TestStatus:
         for node, text in expected.items():
             assert mu_status(g, r, node) == parse_ordinal(text)
 
+    @pytest.mark.parametrize("rank", [-1, "2", True])
+    def test_rank_that_is_not_a_natural_number_rejected(self, rank):
+        g, r = loaded("g3")
+        with pytest.raises(ValueError, match="exponent must be a natural number"):
+            mu_status(dataclasses.replace(g, rank=rank), r, "y1")
+
     def test_singleton_source_rejected(self):
         g, r = loaded("g1_with_singletons")
         with pytest.raises(StatusError, match="nonsingleton"):
@@ -260,30 +267,41 @@ class TestStatus:
 
 @pytest.fixture
 def ordinal_calls(monkeypatch):
-    """For each mu_status source, in call order: how many omega_term and
-    Ordinal.__add__ calls its status made."""
-    counts = {"omega_term": 0, "add": 0}
+    """For each mu_status source, in call order: how many distance terms
+    its status built (omega_term calls, and Ordinal._of calls made
+    outside omega_term and Ordinal.__add__) and how many Ordinal.__add__
+    calls it made."""
+    counts = {"built": 0, "add": 0}
+    nested = [0]
     per_source = {}
     omega, add, status = status_module.omega_term, Ordinal.__add__, status_module.mu_status
+    of = Ordinal._of.__func__
 
-    def counted_omega(mu, n):
-        counts["omega_term"] += 1
-        return omega(mu, n)
+    def counted_of(cls, terms):
+        if not nested[0]:
+            counts["built"] += 1
+        return of(cls, terms)
 
-    def counted_add(self, other):
-        counts["add"] += 1
-        return add(self, other)
+    def counting(key, func):
+        def counted(*args):
+            counts[key] += 1
+            nested[0] += 1
+            try:
+                return func(*args)
+            finally:
+                nested[0] -= 1
+
+        return counted
 
     def counted_status(graph, result, x):
         before = dict(counts)
         value = status(graph, result, x)
-        per_source[x] = (
-            counts["omega_term"] - before["omega_term"], counts["add"] - before["add"]
-        )
+        per_source[x] = (counts["built"] - before["built"], counts["add"] - before["add"])
         return value
 
-    monkeypatch.setattr(status_module, "omega_term", counted_omega)
-    monkeypatch.setattr(Ordinal, "__add__", counted_add)
+    monkeypatch.setattr(status_module, "omega_term", counting("built", omega))
+    monkeypatch.setattr(Ordinal, "_of", classmethod(counted_of))
+    monkeypatch.setattr(Ordinal, "__add__", counting("add", add))
     monkeypatch.setattr(status_module, "mu_status", counted_status)
     return per_source
 
@@ -310,15 +328,16 @@ class TestStatusSums:
 
 @pytest.fixture
 def bfs_sources(monkeypatch):
-    """The source of every FiniteGraph.bfs_distances call, in call order."""
+    """The source id of every BFS over FiniteGraph's index lists
+    (FiniteGraph._distances), in call order."""
     sources = []
-    bfs = FiniteGraph.bfs_distances
+    bfs = FiniteGraph._distances
 
-    def counted(self, source, **kwargs):
-        sources.append(source)
-        return bfs(self, source, **kwargs)
+    def counted(self, start, *args):
+        sources.append(self.nodes[start])
+        return bfs(self, start, *args)
 
-    monkeypatch.setattr(FiniteGraph, "bfs_distances", counted)
+    monkeypatch.setattr(FiniteGraph, "_distances", counted)
     return sources
 
 
@@ -411,6 +430,22 @@ def test_ten_thousand_node_document_against_the_oracles():
         if zero_node[a] != zero_node[b]:
             assert geodesic(graph, result, a, b) == oracle.geodesic(a, b), (a, b)
             pairs += 1
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_two_tip_ring_document_against_the_oracle(rank):
+    """Every status of a document whose sections lie on a shuffled chain
+    closed onto a random section, with p >= 1,000 and a BFS depth above
+    200 from its first mu-node, is w^rank times the oracle's."""
+    doc = wide_document(500, seed=29, rank=rank, max_tips=2)
+    nodes, edges = oracle_replacement(doc)
+    assert len(nodes) >= 1000
+    report = status_report(parse_document(document_text(doc)))
+    ids = [entry.id for entry in report.entries]
+    assert report.p == len(nodes)
+    assert max(oracle_bfs(nodes, edges, ids[0]).values()) > 200
+    expected = [oracle_ordinal_text(rank, s) for s in oracle_statuses(nodes, edges, ids)]
+    assert [str(entry.status) for entry in report.entries] == expected
 
 
 class TestReport:
