@@ -392,59 +392,58 @@ def _individualise(adj: Sequence[int], cells: list[int], k: int, node: int) -> l
     return _refine(adj, cells[:k] + [node, cells[k] ^ node] + cells[k + 1 :], [node])
 
 
-def _leaf_word(adj: Sequence[int], cells: list[int]) -> int:
-    """The adjacency relabeled by a discrete partition, which gives node
-    cells[i] the label i, packed with the row of label i at bit p*i."""
-    p = len(adj)
-    bit = [0] * p
+def _leaf_rows(adj: Sequence[int], cells: list[int]) -> tuple[int, ...]:
+    """The adjacency bitmasks relabeled by a discrete partition, which
+    gives node cells[i] the label i: item i is the row of label i."""
+    bit = [0] * len(adj)
     for label, cell in enumerate(cells):
         bit[cell.bit_length() - 1] = 1 << label
-    word = 0
-    for cell in reversed(cells):
+    rows = []
+    for cell in cells:
         row = 0
         for v in _MEMBERS[adj[cell.bit_length() - 1]]:
             row |= bit[v]
-        word = word << p | row
-    return word
+        rows.append(row)
+    return tuple(rows)
 
 
 def _canonical_form(
     adj: Sequence[int],
-) -> tuple[int, int, tuple[bytes, ...], list[int], list[int]]:
-    """(canonical word, automorphism count, generators of the automorphism
+) -> tuple[tuple[int, ...], int, tuple[bytes, ...], list[int], list[int]]:
+    """(canonical rows, automorphism count, generators of the automorphism
     group, orbit, label) of a graph given by its adjacency bitmasks:
     orbit[v] names the orbit of node v under the whole group (two nodes
     share an orbit exactly when their entries are equal), and label[v] is
-    v's canonical label, the index of v's row in the canonical word.
+    v's canonical label, the index of v's row in the canonical rows.
 
     A search tree of ordered partitions (McKay, "Practical graph
     isomorphism", 1981): the root refines the unit partition, a child
     individualises one node of the first non-singleton cell
-    (_individualise), and a discrete partition is a leaf, whose word is
-    _leaf_word.  The tree is built from the graph alone, so every
-    labeling has the same leaf words, and the least one encodes the
-    graph: it is the canonical form.
+    (_individualise), and a discrete partition is a leaf, whose rows are
+    _leaf_rows.  The tree is built from the graph alone, so every
+    labeling has the same leaf rows, and the least tuple of them
+    encodes the graph: it is the canonical form.
 
     The one invariant: _refine splits cells in place and orders the
     parts by a count.  So a node individualised at some level keeps its
     position in every leaf below, and a leaf's partition fixes its path.
-    If two leaves have one word, the automorphism g taking the one to the
-    other therefore maps path onto path: g fixes the nodes of their
+    If two leaves have equal rows, the automorphism g taking the one to
+    the other therefore maps path onto path: g fixes the nodes of their
     shared prefix, maps the child below it on the one path to the child
     on the other, and maps the subtree of the first to that of the
-    second, word for word.
+    second, row for row.
 
     The search descends to a first leaf l1 by the least node of each
     target cell, then goes back up that path, deepest level first.  At
     each level it explores the other nodes of the target cell, skipping
     one that shares an orbit with an explored one: every automorphism
-    found so far fixes the prefix, so the skipped subtree has the words
+    found so far fixes the prefix, so the skipped subtree has the rows
     of an explored one.  It searches each explored subtree without
-    pruning, up to its first leaf with the word of l1; that leaf gives
+    pruning, up to its first leaf with the rows of l1; that leaf gives
     an automorphism (leaf order to l1 order), whose cycles join the
-    orbits, and the rest of that subtree has the words of the first-path
-    one.  So the least word over the visited leaves is the least of the
-    whole tree.  A child whose subtree holds no leaf with l1's word is
+    orbits, and the rest of that subtree has the rows of the first-path
+    one.  So the least rows over the visited leaves are the least of the
+    whole tree.  A child whose subtree holds no leaf with l1's rows is
     not in the orbit of the first-path child; so each level ends with
     that child's whole orbit under the automorphisms that fix the
     prefix, and by orbit-stabiliser |Aut| is the product of these orbit
@@ -457,8 +456,8 @@ def _canonical_form(
     So the orbit list, which joins the cycles of every automorphism
     found, ends with the orbits of the whole group.  Each generator g
     comes as the bytes of g(i) over the labels i of the least leaf,
-    which are the labels of the canonical word's rows (bytes are the
-    smallest sequence of small ints to keep on the walk's stack).
+    which are the labels of the canonical rows (bytes are the smallest
+    sequence of small ints to keep on the walk's stack).
     """
     p = len(adj)
     full = (1 << p) - 1
@@ -469,7 +468,7 @@ def _canonical_form(
         path.append((cells, k))
         cells = _individualise(adj, cells, k, cells[k] & -cells[k])
     first = best_leaf = [cell.bit_length() - 1 for cell in cells]
-    first_word = best = _leaf_word(adj, cells)
+    first_rows = best = _leaf_rows(adj, cells)
     orbit = list(range(p))  # orbit[v]: a representative of v's orbit
     automorphisms = 1
     found = []  # each automorphism g as the list of g(v) over the nodes v
@@ -487,8 +486,8 @@ def _canonical_form(
                     j = next(j for j, cell in enumerate(child) if cell & (cell - 1))
                     stack += [(child, j, 1 << u) for u in reversed(_MEMBERS[child[j]])]
                     continue
-                word = _leaf_word(adj, child)
-                if word == first_word:
+                rows = _leaf_rows(adj, child)
+                if rows == first_rows:
                     image = [0] * p
                     for cell, target in zip(child, first):
                         image[cell.bit_length() - 1] = target
@@ -498,19 +497,14 @@ def _canonical_form(
                         if a != b:
                             orbit = [b if o == a else o for o in orbit]
                     break
-                if word < best:
-                    best, best_leaf = word, [cell.bit_length() - 1 for cell in child]
+                if rows < best:
+                    best, best_leaf = rows, [cell.bit_length() - 1 for cell in child]
         automorphisms *= sum(orbit[u] == orbit[members[0]] for u in members)
     label = [0] * p
     for i, v in enumerate(best_leaf):
         label[v] = i
     generators = tuple(bytes(label[image[v]] for v in best_leaf) for image in found)
     return best, automorphisms, generators, orbit, label
-
-
-def _rows(word: int, p: int) -> list[int]:
-    """The adjacency bitmasks packed in a leaf word on p nodes."""
-    return [word >> (p * i) & (1 << p) - 1 for i in range(p)]
 
 
 def _spans(adj: Sequence[int], nodes: int) -> bool:
@@ -648,7 +642,7 @@ def _class_walk(max_p: int) -> Iterator[tuple[int, list[int], int, int]]:
     canonical labelings of G differ by automorphisms, so that orbit
     depends on G alone, and the rooted classes (G, m) with m in it are
     one rooted class, reached once.  So each class comes exactly once,
-    with no set of words seen before, as its canonical rows with s =
+    with no set of forms seen before, as its canonical rows with s =
     |Aut G| and c = 1 (McKay, "Isomorph-free exhaustive generation", J.
     Algorithms 26, 1998), and the next level has one parent per class.
 
@@ -681,17 +675,17 @@ def _class_walk(max_p: int) -> Iterator[tuple[int, list[int], int, int]]:
             if n + 1 == max_p:
                 yield max_p, adj, automorphisms // orbit_size, len(ties)
                 continue
-            word, child_automorphisms, found, orbit, label = _canonical_form(adj)
+            canonical, child_automorphisms, found, orbit, label = _canonical_form(adj)
             if orbit[n] == orbit[min(ties, key=label.__getitem__)]:
-                child = _rows(word, n + 1)
+                child = list(canonical)
                 yield n + 1, child, child_automorphisms, 1
                 stack.append((child, child_automorphisms, found))
 
 
-def bound_violation_counts(max_p: int) -> Iterator[tuple[int, int, int]]:
-    """(p, labeled connected graphs, labeled nodes outside the status
-    bounds) for p = 1, ..., max_p <= MAX_VERIFY_NODES, all rows once the
-    walk (_class_walk) has ended.
+def bound_violation_counts(max_p: int) -> list[tuple[int, int, int]]:
+    """The rows (p, labeled connected graphs, labeled nodes outside the
+    status bounds) for p = 1, ..., max_p <= MAX_VERIFY_NODES, returned
+    once the walk (_class_walk) has ended.
 
     A status multiset does not depend on the labels, so each graph of
     the walk is checked with a BFS from every node and no pruning, and
@@ -713,8 +707,7 @@ def bound_violation_counts(max_p: int) -> Iterator[tuple[int, int, int]]:
         lower, upper = status_bounds_values(p, sum(row.bit_count() for row in adj) // 2)
         graphs[p] += weight
         violations[p] += weight * sum(not lower <= s <= upper for s in _statuses(adj))
-    for p in range(1, max_p + 1):
-        yield p, graphs[p] // scale, violations[p] // scale
+    return [(p, graphs[p] // scale, violations[p] // scale) for p in range(1, max_p + 1)]
 
 
 def _upper_witness(p: int, q: int) -> tuple[list[tuple[int, int]], int]:

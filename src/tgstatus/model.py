@@ -141,8 +141,8 @@ class TransfiniteGraph:
         singleton mu-nodes, each group in declaration order.  Branches
         join each section, in section order, to its nonsingleton
         mu-nodes in declaration order, then each included singleton to
-        its home section.  Incidences with undeclared sections are left
-        out.  Needs ids that pass validation's ``identifiers`` check.
+        its home section.  Needs ids that pass validation's
+        ``identifiers`` check.
         """
         singletons = [
             m for m in map(self._mu_index.get, self.include_singletons) if m and not m.is_nonsingleton
@@ -155,12 +155,12 @@ class TransfiniteGraph:
         for mu_node in self.nonsingleton_mu_nodes:
             mu_id = mu_node.id
             for tip in mu_node.tips:
-                joined = members.get(tip.section)
+                joined = members[tip.section]
                 # Mu-nodes join in turn, so a home that repeats has this one last.
-                if joined is not None and (not joined or joined[-1] != mu_id):
+                if not joined or joined[-1] != mu_id:
                     joined.append(mu_id)
         edges = [(zero_node[home], mu_id) for home, mu_ids in members.items() for mu_id in mu_ids]
-        edges += [(zero_node[h], m.id) for m in singletons for h in m.incident_sections if h in members]
+        edges += [(zero_node[h], m.id) for m in singletons for h in m.incident_sections]
         return FiniteGraph(origin, edges), zero_node, origin
 
     def has_section(self, section_id: str) -> bool:

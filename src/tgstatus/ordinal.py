@@ -199,9 +199,9 @@ def parse_ordinal(text: str) -> Ordinal:
                 terms.append((exp, coeff))
         except ValueError as exc:  # a number too long to convert
             raise OrdinalParseError(f"ordinal term of {len(part)} characters: {exc}") from None
-    for (prev, _), (nxt, _) in zip(terms, terms[1:]):
-        if nxt >= prev:
-            raise OrdinalParseError(
-                f"terms of {text!r} are not in strictly decreasing exponent order"
-            )
-    return Ordinal(terms)
+    try:
+        return Ordinal(terms)
+    except ValueError:  # the grammar leaves only the exponent order to fail
+        raise OrdinalParseError(
+            f"terms of {text!r} are not in strictly decreasing exponent order"
+        ) from None

@@ -181,12 +181,14 @@ class TestConstruction:
         assert not g.has_edge("a", "b")
         assert g.neighbors("c") == ("a", "b")
         assert g.degree("c") == 2
+        assert repr(g) == "FiniteGraph(p=3, q=2)"
 
     def test_equality_ignores_edge_order(self):
         g1 = FiniteGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
         g2 = FiniteGraph(["a", "b", "c"], [("c", "b"), ("b", "a")])
         assert g1 == g2
         assert hash(g1) == hash(g2)
+        assert (g1 == "x") is False
 
 
 class TestDistancesAndStatus:
@@ -391,18 +393,14 @@ def labeled_classes(p):
     return groups
 
 
-def rows_of(word, p):
-    return [word >> (p * i) & (1 << p) - 1 for i in range(p)]
-
-
 def walk_classes(max_p):
-    """{canonical word: automorphism count} of the classes of the graphs
+    """{canonical rows: automorphism count} of the classes of the graphs
     that _class_walk(max_p) yields on n nodes, one dict for each
     n = 1, ..., max_p; each graph is named by its _canonical_form."""
     levels = [{} for _ in range(max_p)]
     for n, adj, _, _ in _class_walk(max_p):
-        word, automorphisms = _canonical_form(adj)[:2]
-        levels[n - 1][word] = automorphisms
+        form, automorphisms = _canonical_form(adj)[:2]
+        levels[n - 1][form] = automorphisms
     return levels
 
 
@@ -434,14 +432,14 @@ class TestIsomorphismClasses:
     def test_labeled_graphs_fall_into_the_generated_classes(self, p):
         groups = labeled_classes(p)
         assert len(groups) == CONNECTED_CLASSES[p - 1]
-        for (word, automorphisms), multisets in groups.items():
-            assert len(multisets) == factorial(p) // automorphisms, (p, word)
-            representative = rows_of(word, p)
-            assert _canonical_form(representative)[:2] == (word, automorphisms)
+        for (form, automorphisms), multisets in groups.items():
+            assert len(multisets) == factorial(p) // automorphisms, (p, form)
+            representative = list(form)
+            assert _canonical_form(representative)[:2] == (form, automorphisms)
             assert multisets == [sorted(_statuses(representative))] * len(multisets)
         level = walk_classes(p)[p - 1]
-        generated = [(*_canonical_form(rows_of(word, p))[:2], aut) for word, aut in level.items()]
-        assert sorted(generated) == sorted((word, aut, aut) for word, aut in groups)
+        generated = [(*_canonical_form(list(form))[:2], aut) for form, aut in level.items()]
+        assert sorted(generated) == sorted((form, aut, aut) for form, aut in groups)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_canonical_form_partitions_like_brute_force_oracle(self, p):
@@ -493,8 +491,8 @@ class TestIsomorphismClasses:
     def test_classes_sum_to_the_labeled_count_of_every_edge_count(self):
         for p, level in enumerate(walk_classes(7), 1):
             labeled = Counter()
-            for word, automorphisms in level.items():
-                q = sum(row.bit_count() for row in rows_of(word, p)) // 2
+            for form, automorphisms in level.items():
+                q = sum(row.bit_count() for row in form) // 2
                 labeled[q] += factorial(p) // automorphisms
             expected = [oracle_connected_edge_count(p, q) for q in range(comb(p, 2) + 1)]
             assert sum(expected) == LABELED_CONNECTED[p - 1]
@@ -507,36 +505,36 @@ class TestIsomorphismClasses:
         found = defaultdict(list)
 
         def recording(adj):
-            form = _canonical_form(adj)
-            found[len(adj), form[0]].append(form[2])
-            return form
+            result = _canonical_form(adj)
+            found[len(adj), result[0]].append(result[2])
+            return result
 
         monkeypatch.setattr(finite_graph, "_canonical_form", recording)
         for p, level in enumerate(walk_classes(6), 1):
-            for word, automorphisms in level.items():
-                adj = rows_of(word, p)
+            for form, automorphisms in level.items():
+                adj = list(form)
                 edges = {(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1}
                 count = oracle_automorphism_count(p, edges)
                 orbits = oracle_node_set_orbits(p, oracle_automorphisms(p, edges))
-                for generators in found[p, word] + [_canonical_form(adj)[2]]:
+                for generators in found[p, form] + [_canonical_form(adj)[2]]:
                     for g in generators:
-                        assert {tuple(sorted((g[i], g[j]))) for i, j in edges} == edges, (p, word)
+                        assert {tuple(sorted((g[i], g[j]))) for i, j in edges} == edges, (p, form)
                     assert len(oracle_generated_group(p, generators)) == count == automorphisms
                     kept = _orbit_representatives(generators, p)
-                    assert list(kept) == sorted(min(orbit) for orbit in orbits), (p, word)
-                    assert kept == {min(orbit): len(orbit) for orbit in orbits}, (p, word)
+                    assert list(kept) == sorted(min(orbit) for orbit in orbits), (p, form)
+                    assert kept == {min(orbit): len(orbit) for orbit in orbits}, (p, form)
 
     def test_walk_yields_each_class_once_below_the_last_level(self):
         # Canonical deletion keeps one graph per class on n < max_p nodes,
-        # as its canonical rows, with no set of words seen before.
+        # as its canonical rows, with no set of forms seen before.
         seen = set()
         for n, adj, stabiliser, ties in _class_walk(7):
             if n < 7:
-                word, automorphisms = _canonical_form(adj)[:2]
-                assert (n, word) not in seen, (n, adj)
-                assert adj == rows_of(word, n)
+                form, automorphisms = _canonical_form(adj)[:2]
+                assert (n, form) not in seen, (n, adj)
+                assert adj == list(form)
                 assert (stabiliser, ties) == (automorphisms, 1)
-                seen.add((n, word))
+                seen.add((n, form))
         assert [sum(n == k for n, _ in seen) for k in range(1, 7)] == CONNECTED_CLASSES[:6]
 
     @pytest.mark.parametrize("max_p, calls", [(6, 30), (7, 143)])
@@ -665,8 +663,8 @@ class TestIsomorphismClasses:
         # Every node set joined to a new node of every class on p - 1
         # nodes; a node is non-cut when an oracle BFS on the rest reaches
         # every other node.
-        for word in walk_classes(p - 1)[-1]:
-            rows = rows_of(word, p - 1)
+        for form in walk_classes(p - 1)[-1]:
+            rows = list(form)
             for joined in range(1, 1 << (p - 1)):
                 adj = [row | (joined >> v & 1) << (p - 1) for v, row in enumerate(rows)]
                 adj.append(joined)
@@ -744,13 +742,13 @@ class TestCanonicalForm:
     def test_known_group_orders_under_relabeling(self, graph, automorphisms):
         p, edges = graph
         _, _, adj = graph_of_edges(p, edges)
-        word, count, *_ = _canonical_form(adj)
+        form, count, *_ = _canonical_form(adj)
         assert count == automorphisms
         rng = random.Random(p * 1000 + len(edges))
         for _ in range(20):
             perm = rng.sample(range(p), p)
             _, _, relabeled = graph_of_edges(p, [(perm[u], perm[v]) for u, v in edges])
-            assert _canonical_form(relabeled)[:2] == (word, automorphisms)
+            assert _canonical_form(relabeled)[:2] == (form, automorphisms)
 
     def test_orbits_and_labels_match_brute_force(self):
         # Every class on up to 6 nodes, relabeled at random: label takes
@@ -758,15 +756,15 @@ class TestCanonicalForm:
         # entry exactly when an automorphism maps the one to the other.
         rng = random.Random(6)
         for p, level in enumerate(walk_classes(6), 1):
-            for word in level:
+            for form in level:
                 perm = rng.sample(range(p), p)
-                rows = rows_of(word, p)
+                rows = list(form)
                 edges = [
                     (perm[i], perm[j]) for i in range(p) for j in range(i + 1, p) if rows[i] >> j & 1
                 ]
                 _, _, adj = graph_of_edges(p, edges)
                 canonical, _, _, orbit, label = _canonical_form(adj)
-                assert canonical == word
+                assert canonical == form
                 relabeled = [0] * p
                 for u, v in edges:
                     relabeled[label[u]] |= 1 << label[v]
@@ -794,13 +792,13 @@ class TestCanonicalForm:
 
     def test_automorphism_counts_match_brute_force(self):
         levels = walk_classes(7)
-        classes = [(p, word) for p, level in enumerate(levels[:6], 1) for word in level]
+        classes = [(p, form) for p, level in enumerate(levels[:6], 1) for form in level]
         assert len(classes) == sum(CONNECTED_CLASSES[:6]) == 143
-        classes += [(7, word) for word in random.Random(7).sample(sorted(levels[6]), 60)]
-        for p, word in classes:
-            adj = rows_of(word, p)
+        classes += [(7, form) for form in random.Random(7).sample(sorted(levels[6]), 60)]
+        for p, form in classes:
+            adj = list(form)
             edges = [(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
-            assert _canonical_form(adj)[1] == oracle_automorphism_count(p, edges), (p, word)
+            assert _canonical_form(adj)[1] == oracle_automorphism_count(p, edges), (p, form)
 
 
 def reference_extremal_search(p, q):
@@ -861,8 +859,8 @@ class TestExtremalSearch:
         # Both directions over every connected class with p <= 7.
         attained = set()
         for p, level in enumerate(walk_classes(7), 1):
-            for word in level:
-                adj = rows_of(word, p)
+            for form in level:
+                adj = list(form)
                 edges = [(i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1]
                 upper = status_bounds_values(p, len(edges))[1]
                 for x in range(p):
@@ -872,6 +870,23 @@ class TestExtremalSearch:
                         attained.add((p, len(edges)))
         feasible = {(p, q) for p in range(1, 8) for q in range(p - 1, p * (p - 1) // 2 + 1)}
         assert attained == feasible
+
+    def test_witness_off_the_bound_is_rejected(self, monkeypatch):
+        # One edge more than q lowers the upper bound by one, so the
+        # witness node's status falls below the bound for q edges.
+        def one_edge_off(p, q):
+            edges, node = _upper_witness(p, q)
+            extra = next(pair for pair in combinations(range(p), 2) if pair not in edges)
+            return sorted(edges + [extra]), node
+
+        monkeypatch.setattr(finite_graph, "_upper_witness", one_edge_off)
+        message = "the constructed upper witness for p=4, q=4 misses the bound"
+        with pytest.raises(GraphError) as excinfo:
+            extremal_search(4, 4)
+        assert str(excinfo.value) == message
+        result = CliRunner().invoke(main, ["extremal", "--p", "4", "--q", "4"])
+        assert result.exit_code == 2
+        assert (result.stdout, result.stderr) == ("", f"error: {message}\n")
 
     def test_construction_past_the_cap(self):
         # The construction for every feasible q on p <= 60 nodes: a

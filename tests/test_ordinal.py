@@ -107,8 +107,12 @@ class TestFormat:
          "01", "w^01", "2w", "w ^ 2", "1+w", "w^1", "w*1", "w^1*1", "w^2*1"],
     )
     def test_parse_rejects(self, text):
-        with pytest.raises(OrdinalParseError):
+        with pytest.raises(OrdinalParseError) as excinfo:
             parse_ordinal(text)
+        if text in ("1 + w", "w + w", "w^2 + w^2"):
+            assert str(excinfo.value) == (
+                f"terms of {text!r} are not in strictly decreasing exponent order"
+            )
 
     @pytest.mark.parametrize("text", ["1" * 5000, "w^" + "2" * 5000, "w*" + "3" * 5000])
     def test_parse_rejects_numbers_too_long_to_convert(self, text):
@@ -268,6 +272,16 @@ class TestOrder:
         parsed = [parse_ordinal(t) for t in chain]
         assert parsed == sorted(parsed)
         assert all(a < b for a, b in zip(parsed, parsed[1:]))
+
+    def test_other_types_are_not_ordinals(self):
+        a = parse_ordinal("w + 1")
+        assert (a == 3) is False
+        with pytest.raises(TypeError):
+            a < 3
+        with pytest.raises(TypeError):
+            a + 3
+        with pytest.raises(TypeError):
+            3 + a
 
     @given(ordinals(), ordinals())
     def test_trichotomy(self, a, b):
