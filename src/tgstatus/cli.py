@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Callable, NoReturn, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, TypeVar
 
 import click
 
@@ -20,18 +20,12 @@ from .finite_graph import (
     bound_violation_counts,
     extremal_search,
 )
-from .model import (
-    DocumentError,
-    TransfiniteGraph,
-    ValidationFailed,
-    load_document,
-    parse_document,
-    parse_finite_document,
-    rank0_document,
-)
-from .model import validate as validate_model
-from .replacement import build_replacement
-from .status import StatusError, StatusReport, mu_status, status_report
+
+# The transfinite layer is imported by the commands that use it, so the
+# finite commands start without it.
+if TYPE_CHECKING:
+    from .model import TransfiniteGraph
+    from .status import StatusReport
 
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
@@ -46,6 +40,8 @@ def _input_error(message: str) -> NoReturn:
 
 def _load(path: str, parse: Callable[[str], Doc]) -> Doc:
     """Read and parse a document; any problem is an input error."""
+    from .model import DocumentError
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -62,6 +58,8 @@ def _load(path: str, parse: Callable[[str], Doc]) -> Doc:
 def _report(doc: TransfiniteGraph | FiniteGraph, path: str) -> StatusReport | None:
     """The status report of a document, or None for a disconnected rank-0
     one.  A rank-0 document without nodes is an input error."""
+    from .status import status_report
+
     if isinstance(doc, FiniteGraph):
         if doc.p == 0:
             _input_error(f"{path}: bounds need at least one node")
@@ -109,15 +107,23 @@ class _Shell(click.Group):
     def invoke(self, ctx: click.Context) -> Any:
         try:
             return super().invoke(ctx)
-        except ValidationFailed as exc:
-            for violation in exc.report.violations:
-                click.echo(f"{violation.condition}: {violation.message}", err=True)
-            click.echo("error: validation failed", err=True)
-            sys.exit(EXIT_FAILURE)
-        except (StatusError, GraphError) as exc:
-            _input_error(str(exc))
         except click.UsageError as exc:
             _input_error(exc.format_message())
+        except GraphError as exc:
+            _input_error(str(exc))
+        except ValueError as exc:
+            # Only a command that has loaded these modules raises their errors.
+            from .model import ValidationFailed
+            from .status import StatusError
+
+            if isinstance(exc, ValidationFailed):
+                for violation in exc.report.violations:
+                    click.echo(f"{violation.condition}: {violation.message}", err=True)
+                click.echo("error: validation failed", err=True)
+                sys.exit(EXIT_FAILURE)
+            if not isinstance(exc, StatusError):
+                raise
+            _input_error(str(exc))
 
 
 @click.group(cls=_Shell)
@@ -130,6 +136,9 @@ def main() -> None:
 @click.option("--walk-based", is_flag=True, help="Skip the nondisconnectable-tips check.")
 def validate_command(file: str, walk_based: bool) -> None:
     """Check a transfinite document against the admissibility conditions."""
+    from .model import parse_document
+    from .model import validate as validate_model
+
     graph = _load(file, parse_document)
     report = validate_model(graph, walk_based)
     if report.passed:
@@ -150,6 +159,9 @@ def validate_command(file: str, walk_based: bool) -> None:
 @click.option("--json", "as_json", is_flag=True, help="Emit a rank-0 document.")
 def replace(file: str, as_dot: bool, as_json: bool) -> None:
     """Build and print the replacement 0-graph of a transfinite document."""
+    from .model import parse_document, rank0_document
+    from .replacement import build_replacement
+
     if as_dot and as_json:
         _input_error("--dot and --json are mutually exclusive")
     result = build_replacement(_load(file, parse_document))
@@ -174,6 +186,10 @@ def replace(file: str, as_dot: bool, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def status(file: str, node_id: str | None, walk_based: bool, as_json: bool) -> None:
     """Report the statuses and bounds of a transfinite document."""
+    from .model import parse_document
+    from .replacement import build_replacement
+    from .status import mu_status, status_report
+
     graph = _load(file, parse_document)
     if node_id is None:
         _echo_report(status_report(graph, walk_based=walk_based).to_json_obj(), as_json)
@@ -190,6 +206,8 @@ def status(file: str, node_id: str | None, walk_based: bool, as_json: bool) -> N
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON.")
 def bounds(file: str, as_json: bool) -> None:
     """Print p, q, the status bounds and which nodes achieve them."""
+    from .model import load_document
+
     report = _report(_load(file, load_document), file)
     if report is None:
         click.echo("error: bounds are undefined on a disconnected graph", err=True)
@@ -203,6 +221,8 @@ def bounds(file: str, as_json: bool) -> None:
 @click.argument("file")
 def ejs_check(file: str) -> None:
     """Verify the status bounds for every node of a rank-0 document."""
+    from .model import parse_finite_document
+
     report = _report(_load(file, parse_finite_document), file)
     if report is None:
         click.echo("violation: graph is not connected")

@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import factorial, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .ordinal import Ordinal
+if TYPE_CHECKING:
+    from .ordinal import Ordinal
 
 __all__ = [
     "BoundsResult",

@@ -470,6 +470,8 @@ def validate(graph: TransfiniteGraph, walk_based: bool = False) -> ValidationRep
     Checked conditions and their tags:
 
     * ``rank``: the rank is a positive natural number.
+    * ``sections``: there is at least one section, as the parser
+      requires; without one the 0-graph has no nodes.
     * ``identifiers``: every id is used once, every representative is
       an internal node of its section and every tip's section exists;
       without this no 0-graph exists and ``connectivity`` is skipped.
@@ -500,6 +502,8 @@ def validate(graph: TransfiniteGraph, walk_based: bool = False) -> ValidationRep
         )
 
     sections, mu_nodes = graph.sections, graph.mu_nodes
+    if not sections:
+        violations.append(Violation("sections", "at least one section is required", ()))
     declared = [section.id for section in sections] + [m.id for m in mu_nodes]
     declared += [n.id for section in sections for n in section.internal_nodes]
     declared += [tip.id for m in mu_nodes for tip in m.tips]

@@ -8,15 +8,22 @@ and its orbits on node sets, ordinal sums by term absorption, a
 seeded random document generator, large and long-diameter documents
 built from it or by hand, and seeded random edits of documents.
 Acceptance tests compare package results against these, so nothing in
-this module may import from tgstatus.
+this module may import from tgstatus; code that needs a process of its
+own (to see which modules the package loads) runs in a new interpreter.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def oracle_bfs(nodes, edges, source):
@@ -488,3 +495,38 @@ def _containers(value):
 
 def document_text(doc):
     return json.dumps(doc)
+
+
+def run_fresh(code, *args):
+    """Run Python code in a new interpreter that imports tgstatus from
+    this checkout's src directory."""
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+
+
+_CLI_SCRIPT = """
+import json, sys
+from tgstatus.cli import main
+codes = []
+for args in json.loads(sys.argv[1]):
+    try:
+        main(args)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "tgstatus")]))
+"""
+
+
+def run_fresh_cli(*command_lines):
+    """Run CLI command lines in turn in one new interpreter.  Returns
+    their exit codes, the tgstatus modules loaded after the last one,
+    and the interpreter's stderr."""
+    done = run_fresh(_CLI_SCRIPT, json.dumps(command_lines))
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    return codes, loaded, done.stderr

@@ -12,7 +12,7 @@ from tgstatus import finite_graph
 from tgstatus.cli import main
 from tgstatus.finite_graph import MAX_EXTREMAL_NODES, MAX_VERIFY_NODES
 
-from helpers import document_text, random_document
+from helpers import document_text, random_document, run_fresh_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "sample_graphs"
@@ -451,6 +451,58 @@ class TestExtremal:
     def test_unknown_flag_and_command(self):
         assert run("extremal", "--p", 4).exit_code == 2
         assert run("bogus").exit_code == 2
+
+
+class TestErrorMapping:
+    """A command loads the transfinite layer itself, so the library's
+    errors are mapped in a fresh interpreter as in a loaded one."""
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["extremal", "--p", "3", "--q", "9"], 2),
+            (["status", "sample_graphs/g3_nondisconnectable_violation.json"], 1),
+            (["status", "--node", "nope", "sample_graphs/g3.json"], 2),
+        ],
+        ids=["graph-error", "validation-failed", "status-error"],
+    )
+    def test_fresh_interpreter_maps_errors_as_a_loaded_one(self, args, code):
+        codes, _, stderr = run_fresh_cli(args)
+        result = run(*args)
+        assert codes == [result.exit_code] == [code]
+        assert stderr == result.stderr
+
+    def test_infeasible_extremal_is_one_error_line(self):
+        codes, loaded, stderr = run_fresh_cli(["extremal", "--p", "3", "--q", "9"])
+        assert codes == [2]
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert loaded == ["tgstatus", "tgstatus.cli", "tgstatus.finite_graph"]
+
+    def test_validation_failure_prints_violations_then_error(self):
+        result = run("status", sample("g3_nondisconnectable_violation"))
+        *violations, last = result.stderr.splitlines()
+        assert result.exit_code == 1
+        assert violations and all(v.startswith("nondisconnectable-tips: ") for v in violations)
+        assert last == "error: validation failed"
+
+    @pytest.mark.parametrize(
+        "module, name, args",
+        [
+            ("tgstatus.cli", "extremal_search", ["extremal", "--p", "4", "--q", "4"]),
+            ("tgstatus.status", "status_report", ["status", sample("g1")]),
+        ],
+        ids=["finite", "transfinite"],
+    )
+    def test_other_value_errors_escape(self, monkeypatch, module, name, args):
+        error = ValueError("not a library error")
+
+        def fail(*_args, **_kwargs):
+            raise error
+
+        monkeypatch.setattr(f"{module}.{name}", fail)
+        result = run(*args)
+        assert result.exception is error
+        assert result.stderr == ""
 
 
 # Where each kind of declared id sits in a sample, and the context its

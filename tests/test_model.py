@@ -667,6 +667,28 @@ class TestValidation:
         with pytest.raises(ValidationFailed):
             list(iter_simple_paths(graph))
 
+    def test_graph_without_sections_fails(self):
+        """The parser's rule holds for graphs built in code: with no
+        section every entry point raises ValidationFailed, not a bare
+        ValueError from the bounds of an empty 0-graph."""
+        from tgstatus.status import status_report
+
+        graph = TransfiniteGraph(1, (), ())
+        report = validate(graph)
+        assert not report.passed
+        assert [(v.condition, v.message) for v in report.violations] == [
+            ("sections", "at least one section is required")
+        ]
+        for run in (
+            build_replacement,
+            status_report,
+            lambda g: list(iter_simple_paths(g)),
+            lambda g: status_report(g, walk_based=True),
+        ):
+            with pytest.raises(ValidationFailed) as failure:
+                run(graph)
+            assert failure.value.report.violations == report.violations
+
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=60)
     def test_generated_documents_validate(self, seed):
