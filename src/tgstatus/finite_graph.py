@@ -605,13 +605,13 @@ def _class_walk(max_p: int) -> Iterator[tuple[int, list[int], int, int]]:
     Every connected graph on n >= 2 nodes has a non-cut node (an end of a
     longest path).  Let C(G) be the non-cut nodes of G that share the
     least (degree, sorted neighbour degrees) among them.  The walk joins
-    a new last node to non-empty node sets of each graph it keeps on
-    fewer than max_p nodes, and keeps the extensions whose new node lies
-    in C (_least_invariant_last).  Given one kept graph per class on one
-    node fewer, two prunings cut the extensions, and each keeps every
-    rooted class (G, m) with m in C(G):
+    a new last node to non-empty node sets of each parent, a graph it
+    extends on fewer than max_p nodes, and yields the extensions whose
+    new node lies in C (_least_invariant_last).  Given one parent per
+    class on one node fewer, two prunings cut the extensions, and each
+    keeps every rooted class (G, m) with m in C(G):
 
-    - The rule.  G - m is connected, so a graph P of its class is kept,
+    - The rule.  G - m is connected, so a parent P of its class exists,
       and joining the new node to the nodes that m's neighbours become
       there gives G again, with the new node in m's place.  The invariant does not
       depend on labels, so that extension passes _least_invariant_last.
@@ -635,29 +635,29 @@ def _class_walk(max_p: int) -> Iterator[tuple[int, list[int], int, int]]:
     parents are one class, so they have the same rows, and it maps the
     one joined set onto the other by an automorphism of P: by the orbit
     pruning the two extensions are one.  So the walk reaches each rooted
-    class exactly once.
+    class exactly once, and every level is counted by its rooted
+    extensions.  Taking the two extensions equal above, the
+    automorphisms of G that fix the new node are the stabiliser of S in
+    Aut(P), of order s = |Aut(P)| / |orbit of S|.  The rooted classes of
+    G are the orbits of Aut(G) on C(G), and the orbit of m has |Aut G| / s
+    nodes, so 1/s summed over the extensions isomorphic to G is
+    |C(G)| / |Aut G|.  |C(G)| does not depend on the labels, so each
+    extension reads it off itself: c is the number of nodes that
+    _least_invariant_last returns.  No extension needs a canonical form
+    to be counted.
 
-    Below the last level, canonical deletion keeps one graph per class:
-    an extension stays when its new node lies in the Aut(G)-orbit of the
+    Canonical deletion only picks the parents, one per class: an
+    extension on fewer than max_p nodes goes on the stack, as its
+    canonical rows, when its new node lies in the Aut(G)-orbit of the
     node of C(G) with the least canonical label (_canonical_form).  The
     canonical labelings of G differ by automorphisms, so that orbit
     depends on G alone, and the rooted classes (G, m) with m in it are
-    one rooted class, reached once.  So each class comes exactly once,
-    with no set of forms seen before, as its canonical rows with s =
-    |Aut G| and c = 1 (McKay, "Isomorph-free exhaustive generation", J.
-    Algorithms 26, 1998), and the next level has one parent per class.
-
-    The last level needs no canonical form.  Taking the two extensions
-    equal above, the automorphisms of G that fix the new node are the
-    stabiliser of S in Aut(P), of order s = |Aut(P)| / |orbit of S|.
-    The rooted classes of G are the orbits of Aut(G) on C(G), and the
-    orbit of m has |Aut G| / s nodes, so 1/s summed over the extensions
-    isomorphic to G is |C(G)| / |Aut G|.  |C(G)| does not depend on the
-    labels, so each extension reads it off itself: c is the number of
-    nodes that _least_invariant_last returns.
+    one rooted class, reached once.  So each class becomes a parent
+    exactly once, with no set of forms seen before (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).
     """
     yield 1, [0], 1, 1  # the single node
-    # (canonical rows, |Aut|, generators) of each kept graph not yet extended
+    # (canonical rows, |Aut|, generators) of each parent not yet extended
     stack = [([0], 1, ())] if max_p > 1 else []
     while stack:
         rows, automorphisms, generators = stack.pop()
@@ -673,14 +673,11 @@ def _class_walk(max_p: int) -> Iterator[tuple[int, list[int], int, int]]:
             ties = _least_invariant_last(adj)
             if not ties:
                 continue
-            if n + 1 == max_p:
-                yield max_p, adj, automorphisms // orbit_size, len(ties)
-                continue
-            canonical, child_automorphisms, found, orbit, label = _canonical_form(adj)
-            if orbit[n] == orbit[min(ties, key=label.__getitem__)]:
-                child = list(canonical)
-                yield n + 1, child, child_automorphisms, 1
-                stack.append((child, child_automorphisms, found))
+            yield n + 1, adj, automorphisms // orbit_size, len(ties)
+            if n + 1 < max_p:
+                canonical, child_automorphisms, found, orbit, label = _canonical_form(adj)
+                if orbit[n] == orbit[min(ties, key=label.__getitem__)]:
+                    stack.append((list(canonical), child_automorphisms, found))
 
 
 def bound_violation_counts(max_p: int) -> list[tuple[int, int, int]]:
@@ -688,16 +685,16 @@ def bound_violation_counts(max_p: int) -> list[tuple[int, int, int]]:
     status bounds) for p = 1, ..., max_p <= MAX_VERIFY_NODES, returned
     once the walk (_class_walk) has ended.
 
-    A status multiset does not depend on the labels, so each graph of
-    the walk is checked with a BFS from every node and no pruning, and
-    counts for p!/(s*c) labeled graphs: for each class G these sum to
-    p!/|Aut G|, the labeled graphs isomorphic to G.  The sums stay exact
-    integers: s is the order of a group of permutations of at most p
-    nodes, so p!/s is an integer, and every tie count c <= max_p divides
-    L = lcm(1, ..., max_p).  So each graph adds the integer weight
-    p!/s * L/c to its p's sums of weights and of weights times the nodes
-    outside the bounds, which are L times the labeled graphs and nodes,
-    divided by L once at the end.
+    A status multiset does not depend on the labels, so each rooted
+    extension that the walk yields, on every level, is checked with a
+    BFS from every node and no pruning, and counts for p!/(s*c) labeled
+    graphs: for each class G these sum to p!/|Aut G|, the labeled graphs
+    isomorphic to G.  The sums stay exact integers: s is the order of a
+    group of permutations of at most p nodes, so p!/s is an integer, and
+    every tie count c <= max_p divides L = lcm(1, ..., max_p).  So each
+    extension adds the integer weight p!/s * L/c to its p's sums of
+    weights and of weights times the nodes outside the bounds, which are
+    L times the labeled graphs and nodes, divided by L once at the end.
     """
     _check_enumeration_size(max_p, "verification", MAX_VERIFY_NODES)
     scale = lcm(*range(1, max_p + 1))

@@ -169,8 +169,8 @@ def format_ordinal(a: Ordinal) -> str:
 
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<int>[1-9][0-9]*)"
-    r"|w(?:\^(?P<exp>[2-9]|[1-9][0-9]+))?(?:\*(?P<coeff>[2-9]|[1-9][0-9]+))?)$"
+    r"(?P<int>[1-9][0-9]*)"
+    r"|w(?:\^(?P<exp>[2-9]|[1-9][0-9]+))?(?:\*(?P<coeff>[2-9]|[1-9][0-9]+))?"
 )
 
 
@@ -187,7 +187,7 @@ def parse_ordinal(text: str) -> Ordinal:
         return ZERO
     terms: list[tuple[int, int]] = []
     for part in text.split(" + "):
-        match = _TERM_RE.match(part)
+        match = _TERM_RE.fullmatch(part)
         if match is None:
             raise OrdinalParseError(f"malformed ordinal term {part!r}")
         try:

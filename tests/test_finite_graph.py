@@ -524,26 +524,35 @@ class TestIsomorphismClasses:
                     assert list(kept) == sorted(min(orbit) for orbit in orbits), (p, form)
                     assert kept == {min(orbit): len(orbit) for orbit in orbits}, (p, form)
 
-    def test_walk_yields_each_class_once_below_the_last_level(self):
-        # Canonical deletion keeps one graph per class on n < max_p nodes,
-        # as its canonical rows, with no set of forms seen before.
-        seen = set()
-        for n, adj, stabiliser, ties in _class_walk(7):
-            if n < 7:
-                form, automorphisms = _canonical_form(adj)[:2]
-                assert (n, form) not in seen, (n, adj)
-                assert adj == list(form)
-                assert (stabiliser, ties) == (automorphisms, 1)
-                seen.add((n, form))
-        assert [sum(n == k for n, _ in seen) for k in range(1, 7)] == CONNECTED_CLASSES[:6]
+    def test_walk_extends_one_graph_per_class(self, monkeypatch):
+        # Canonical deletion picks one parent per class on n < max_p nodes,
+        # as its canonical rows, with no set of forms seen before;
+        # _non_cut_below runs once on each parent.
+        parents = []
+
+        def recording(rows):
+            parents.append(rows)
+            return _non_cut_below(rows)
+
+        monkeypatch.setattr(finite_graph, "_non_cut_below", recording)
+        for _ in _class_walk(7):
+            pass
+        forms = defaultdict(set)
+        for rows in parents:
+            form = _canonical_form(rows)[0]
+            assert rows == list(form), rows
+            assert form not in forms[len(rows)], rows
+            forms[len(rows)].add(form)
+        assert sorted(forms) == list(range(1, 7))
+        assert [len(forms[n]) for n in range(1, 7)] == CONNECTED_CLASSES[:6]
 
     @pytest.mark.parametrize("max_p, calls", [(6, 30), (7, 143)])
     def test_verify_ejs_builds_each_level_once(self, max_p, calls, monkeypatch):
-        # One walk builds each level 2..max_p-1 once, with one canonical
-        # form per extension of a class on one node fewer that orbit
-        # pruning and _least_invariant_last keep, and the last level with
-        # none.
-        counted, kept = [], []
+        # One walk builds each level 2..max_p once.  Each extension that
+        # orbit pruning and _least_invariant_last keep gets one _statuses
+        # call, as does the single node, and one canonical form when it
+        # has fewer than max_p nodes.
+        counted, kept, checked = [], [], []
 
         def counting(adj):
             counted.append(len(adj))
@@ -551,16 +560,23 @@ class TestIsomorphismClasses:
 
         def recording(adj):
             ties = _least_invariant_last(adj)
-            if ties and len(adj) < max_p:
+            if ties:
                 kept.append(len(adj))
             return ties
 
+        def checking(adj):
+            checked.append(len(adj))
+            return _statuses(adj)
+
         monkeypatch.setattr(finite_graph, "_canonical_form", counting)
         monkeypatch.setattr(finite_graph, "_least_invariant_last", recording)
+        monkeypatch.setattr(finite_graph, "_statuses", checking)
         result = CliRunner().invoke(main, ["verify-ejs", "--max-p", str(max_p)])
         assert result.exit_code == 0
         assert len(counted) == calls
-        assert sorted(counted) == sorted(kept)
+        assert sorted(counted) == sorted(n for n in kept if n < max_p)
+        assert sorted(checked) == sorted([1] + kept)
+        assert len(checked) == {6: 144, 7: 1029}[max_p]
         if max_p == 6:
             # The single node needs no search, and the 30 classes on 2..5
             # nodes are each reached once.
@@ -602,11 +618,13 @@ class TestIsomorphismClasses:
 
     def test_pre_test_rejects_only_what_the_deletion_rule_rejects(self):
         rejected = 0
-        for n, rows, _, _ in _class_walk(7):
+        for n, graph, _, _ in _class_walk(7):
             if n == 7:
                 continue
+            canonical, _, generators = _canonical_form(graph)[:3]
+            rows = list(canonical)
             below = _non_cut_below(rows)
-            for joined in _orbit_representatives(_canonical_form(rows)[2], n):
+            for joined in _orbit_representatives(generators, n):
                 if below[joined.bit_count()] & ~joined:
                     adj = rows + [joined]
                     for v in range(n):
@@ -617,44 +635,41 @@ class TestIsomorphismClasses:
 
     @pytest.mark.parametrize("max_p", [1, 2, 3, 4, 5, 6, 7])
     def test_last_level_rows_match_the_full_walk(self, max_p):
-        # Row max_p of bound_violation_counts(max_p) comes from the last
-        # level, weighted by its rooted extensions; bound_violation_counts(7)
-        # builds that level whole, with one canonical form per class.
+        # Row max_p of bound_violation_counts(max_p) weighs the rooted
+        # extensions of the last level; bound_violation_counts(7) weighs
+        # the same extensions and also picks parents among them.
         assert list(bound_violation_counts(max_p)) == list(bound_violation_counts(7))[:max_p]
 
-    def test_last_level_sums_to_the_labeled_count_of_every_edge_count(self):
+    def test_every_level_sums_to_the_labeled_count_of_every_edge_count(self):
         for p in range(1, 8):
             labeled = Counter()
             for n, adj, stabiliser, ties in _class_walk(p):
-                if n < p:
-                    continue
                 q = sum(row.bit_count() for row in adj) // 2
-                labeled[q] += Fraction(factorial(p), stabiliser * ties)
-            expected = [oracle_connected_edge_count(p, q) for q in range(comb(p, 2) + 1)]
-            assert [labeled[q] for q in range(comb(p, 2) + 1)] == expected, p
+                labeled[n, q] += Fraction(factorial(n), stabiliser * ties)
+            for n in range(1, p + 1):
+                expected = [oracle_connected_edge_count(n, q) for q in range(comb(n, 2) + 1)]
+                assert [labeled[n, q] for q in range(comb(n, 2) + 1)] == expected, (p, n)
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
     def test_unique_extensions_need_no_canonical_form(self, p):
-        # For every class G on p nodes, 1/(|Stab(S)| * |C|) summed over
-        # the extensions in G's class is 1/|Aut G|.  An extension with
-        # |C| = 1 is therefore its class's only one, with |Stab(S)| =
+        # For every class G on n <= p nodes, 1/(|Stab(S)| * |C|) summed
+        # over the extensions in G's class is 1/|Aut G|.  An extension
+        # with |C| = 1 is therefore its class's only one, with |Stab(S)| =
         # |Aut G|.
         weights, extensions, unique, edges_of = Counter(), Counter(), set(), {}
         for n, adj, stabiliser, ties in _class_walk(p):
-            if n < p:
-                continue
             canonical = _canonical_form(adj)[0]
             weights[canonical] += Fraction(1, stabiliser * ties)
             extensions[canonical] += 1
             edges_of[canonical] = [
-                (i, j) for i in range(p) for j in range(i + 1, p) if adj[i] >> j & 1
+                (i, j) for i in range(n) for j in range(i + 1, n) if adj[i] >> j & 1
             ]
             if ties == 1:
                 unique.add(canonical)
-                assert stabiliser == oracle_automorphism_count(p, edges_of[canonical]), adj
-        assert len(weights) == CONNECTED_CLASSES[p - 1]
+                assert stabiliser == oracle_automorphism_count(n, edges_of[canonical]), adj
+        assert [sum(len(c) == n for c in weights) for n in range(1, p + 1)] == CONNECTED_CLASSES[:p]
         for canonical, weight in weights.items():
-            automorphisms = oracle_automorphism_count(p, edges_of[canonical])
+            automorphisms = oracle_automorphism_count(len(canonical), edges_of[canonical])
             assert weight == Fraction(1, automorphisms), (p, edges_of[canonical])
         assert all(extensions[canonical] == 1 for canonical in unique)
 

@@ -104,7 +104,8 @@ class TestFormat:
     @pytest.mark.parametrize(
         "text",
         ["", " ", "w^0", "w*0", "0 + 1", "1 + w", "w + w", "w^2 + w^2", "-1", "w^-1",
-         "01", "w^01", "2w", "w ^ 2", "1+w", "w^1", "w*1", "w^1*1", "w^2*1"],
+         "01", "w^01", "2w", "w ^ 2", "1+w", "w^1", "w*1", "w^1*1", "w^2*1",
+         "w\n", "5\n", "w^2*3\n + 1\n"],
     )
     def test_parse_rejects(self, text):
         with pytest.raises(OrdinalParseError) as excinfo:
@@ -113,6 +114,10 @@ class TestFormat:
             assert str(excinfo.value) == (
                 f"terms of {text!r} are not in strictly decreasing exponent order"
             )
+        # A term regex anchored with $ would also match before a final newline.
+        malformed = {"w\n": r"'w\n'", "5\n": r"'5\n'", "w^2*3\n + 1\n": r"'w^2*3\n'"}
+        if text in malformed:
+            assert str(excinfo.value) == f"malformed ordinal term {malformed[text]}"
 
     @pytest.mark.parametrize("text", ["1" * 5000, "w^" + "2" * 5000, "w*" + "3" * 5000])
     def test_parse_rejects_numbers_too_long_to_convert(self, text):
