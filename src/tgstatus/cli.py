@@ -6,6 +6,7 @@ Output is byte-deterministic for identical inputs and flags.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from typing import TYPE_CHECKING, Any, Callable, NoReturn, TypeVar
@@ -105,6 +106,10 @@ class _Shell(click.Group):
             _input_error(exc.format_message())
 
     def invoke(self, ctx: click.Context) -> Any:
+        # A command builds one document's objects and drops them at exit, so
+        # the cyclic collector would only rescan them; restore its state after.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             return super().invoke(ctx)
         except click.UsageError as exc:
@@ -124,6 +129,9 @@ class _Shell(click.Group):
             if not isinstance(exc, StatusError):
                 raise
             _input_error(str(exc))
+        finally:
+            if collecting:
+                gc.enable()
 
 
 @click.group(cls=_Shell)

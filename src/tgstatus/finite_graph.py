@@ -50,15 +50,15 @@ class GraphError(ValueError):
 class FiniteGraph:
     """Simple undirected graph with ordered nodes and canonical edge pairs.
 
-    Nodes keep declaration order; edges are stored as sorted id pairs in
-    insertion order.  Self-loops, duplicate edges and undeclared
+    Nodes keep declaration order; edges are stored once, as sorted id
+    pairs in insertion order.  Self-loops, duplicate edges and undeclared
     endpoints are rejected at construction.  Searches run on node
     indices: node i is ``nodes[i]``, and its neighbours are kept as a
-    list of indices in edge insertion order.  The graph is immutable, so
-    ``is_connected`` keeps its first answer.
+    list of indices in edge insertion order, which ``has_edge`` scans.
+    The graph is immutable, so ``is_connected`` keeps its first answer.
     """
 
-    __slots__ = ("_nodes", "_index", "_edges", "_edge_set", "_nbrs", "_connected")
+    __slots__ = ("_nodes", "_index", "_edges", "_nbrs", "_connected")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         node_list = list(nodes)
@@ -92,7 +92,6 @@ class FiniteGraph:
         self._nodes = tuple(node_list)
         self._index = index
         self._edges = tuple(edge_list)
-        self._edge_set = frozenset(edge_set)
         self._nbrs = nbrs
         self._connected: bool | None = None
 
@@ -119,8 +118,8 @@ class FiniteGraph:
         return i
 
     def has_edge(self, u: str, v: str) -> bool:
-        pair = (u, v) if u <= v else (v, u)
-        return pair in self._edge_set
+        i, j = self._index.get(u), self._index.get(v)
+        return i is not None and j is not None and j in self._nbrs[i]
 
     def neighbors(self, node: str) -> tuple[str, ...]:
         nodes = self._nodes
@@ -243,10 +242,10 @@ class FiniteGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteGraph):
             return NotImplemented
-        return self._nodes == other._nodes and self._edge_set == other._edge_set
+        return self._nodes == other._nodes and set(self._edges) == set(other._edges)
 
     def __hash__(self) -> int:
-        return hash((self._nodes, self._edge_set))
+        return hash((self._nodes, frozenset(self._edges)))
 
     def __repr__(self) -> str:
         return f"FiniteGraph(p={self.p}, q={self.q})"

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: outputs, exit codes, goldens."""
 
+import gc
 import json
 import random
 from pathlib import Path
@@ -503,6 +504,57 @@ class TestErrorMapping:
         result = run(*args)
         assert result.exception is error
         assert result.stderr == ""
+
+
+class TestCollectorPause:
+    """A command runs with the cyclic collector paused, and leaves it as
+    the caller had it, however the command ends."""
+
+    def test_validate_runs_with_the_collector_paused(self, monkeypatch):
+        import tgstatus.model
+
+        seen = []
+        real = tgstatus.model.validate
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tgstatus.model, "validate", recording)
+        assert gc.isenabled()
+        assert run("validate", sample("g1")).exit_code == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["validate", sample("g1")], 0),
+            (["validate", sample("missing")], 2),
+            (["validate", sample("g3_nondisconnectable_violation")], 1),
+            (["status", sample("g3_nondisconnectable_violation")], 1),
+        ],
+        ids=["passed", "input-error", "validation-failed", "status-validation-failed"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_is_restored(self, args, code, enabled):
+        if not enabled:
+            gc.disable()
+        try:
+            assert run(*args).exit_code == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_collector_is_restored_when_an_error_escapes(self, monkeypatch):
+        error = ValueError("not a library error")
+
+        def fail(*_args, **_kwargs):
+            raise error
+
+        monkeypatch.setattr("tgstatus.model.validate", fail)
+        assert run("validate", sample("g1")).exception is error
+        assert gc.isenabled()
 
 
 # Where each kind of declared id sits in a sample, and the context its

@@ -190,6 +190,28 @@ class TestConstruction:
         assert hash(g1) == hash(g2)
         assert (g1 == "x") is False
 
+    @given(st.data())
+    def test_equality_hash_and_has_edge_read_the_edge_set(self, data):
+        ids = data.draw(st.lists(st.text(max_size=3), unique=True, min_size=1, max_size=8))
+        pairs = list(combinations(ids, 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = FiniteGraph(ids, edges)
+        shuffled = data.draw(st.permutations(edges))
+        swapped = FiniteGraph(ids, [(v, u) for u, v in shuffled])
+        assert g == swapped and hash(g) == hash(swapped)
+        assert hash(g) == hash((g.nodes, frozenset(g.edges)))
+        if edges:
+            dropped = data.draw(st.integers(0, len(edges) - 1))
+            assert g != FiniteGraph(ids, edges[:dropped] + edges[dropped + 1 :])
+        order = data.draw(st.permutations(ids))
+        assert (g == FiniteGraph(order, edges)) == (order == ids)
+        oracle = {frozenset(edge) for edge in edges}
+        undeclared = "".join(ids) + "?"
+        for u in ids:
+            for v in ids:
+                assert g.has_edge(u, v) == (frozenset((u, v)) in oracle)
+            assert not g.has_edge(u, undeclared) and not g.has_edge(undeclared, u)
+
 
 class TestDistancesAndStatus:
     def test_single_node(self):
