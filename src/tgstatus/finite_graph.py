@@ -137,16 +137,16 @@ class FiniteGraph:
             self._connected = len(self._nodes) <= 1 or None not in self._distances(0)
         return self._connected
 
-    def _distances(self, start: int, stop: int = -1) -> list[int | None]:
+    def _distances(self, start: int) -> list[int | None]:
         """Hop distances from node index start, by node index; None for a
-        node not reached.  With stop >= 0 the search ends after the level
-        that reaches index stop, and every farther node stays None."""
+        node not reached.  One level-synchronous BFS over every node that
+        start reaches."""
         nbrs = self._nbrs
         dist: list[int | None] = [None] * len(nbrs)
         dist[start] = 0
         frontier = [start]
         level = 0
-        while frontier and (stop < 0 or dist[stop] is None):
+        while frontier:
             level += 1
             reached = []
             for u in frontier:
@@ -163,20 +163,89 @@ class FiniteGraph:
 
     def shortest_path(self, a: str, b: str) -> tuple[str, ...] | None:
         """The node ids of a shortest path from a to b; None when they are
-        not connected.  A BFS from b stops at the level that reaches a, and
-        the walk back from a steps to the least-id neighbour one hop nearer
-        to b, so the path has the least id sequence of all shortest ones."""
-        start = self._node_index(a)
-        dist = self._distances(self._node_index(b), start)
-        if dist[start] is None:
-            return None
+        not connected.  The path has the least id sequence of all shortest
+        ones.
+
+        A level-synchronous BFS grows from both ends, each step expanding
+        the smaller frontier by one whole level (b's on a tie), and stops
+        at the first node a step finds in the other ball.  As in
+        hop_distance, the distance hops is then one more than the sum of
+        the two radii before that step.  Every node on a shortest path
+        lies in just one of those balls.  A node of b's ball holds its
+        distance to b; those of a's ball get theirs level by level
+        outward from b's frontier, since a node at a-level hops - n next
+        to one n - 1 hops from b is n hops from b.  The walk from a then
+        steps, as after a BFS from b alone, to the least-id neighbour one
+        hop nearer to b: every such neighbour lies on a shortest path, so
+        it holds its distance.
+        """
+        i = self._node_index(a)
+        j = self._node_index(b)
         nodes, nbrs = self._nodes, self._nbrs
-        path = [start]
-        for remaining in range(dist[start] - 1, -1, -1):
+        if i == j:
+            return (nodes[i],)
+        # label[v] is n for a node n hops from b in b's ball, ~n for one
+        # n hops from a in a's ball, and None for a node neither ball holds.
+        label: list[int | None] = [None] * len(nbrs)
+        label[j], label[i] = 0, ~0
+        b_frontier, a_frontier = [j], [i]
+        b_radius = a_radius = 0
+        while b_frontier and a_frontier:
+            reached = []
+            if len(b_frontier) <= len(a_frontier):
+                level = b_radius + 1
+                for u in b_frontier:
+                    for v in nbrs[u]:
+                        lv = label[v]
+                        if lv is None:
+                            label[v] = level
+                            reached.append(v)
+                        elif lv < 0:
+                            break
+                    else:
+                        continue
+                    break
+                else:
+                    b_frontier, b_radius = reached, level
+                    continue
+            else:
+                level = a_radius + 1
+                mark = ~level
+                for u in a_frontier:
+                    for v in nbrs[u]:
+                        lv = label[v]
+                        if lv is None:
+                            label[v] = mark
+                            reached.append(v)
+                        elif lv >= 0:
+                            break
+                    else:
+                        continue
+                    break
+                else:
+                    a_frontier, a_radius = reached, level
+                    continue
+            break  # the step reached the other ball
+        else:
+            return None
+        hops = a_radius + b_radius + 1
+        # Label the nodes of a's ball on a shortest path, n hops from b.
+        frontier = b_frontier
+        for n in range(b_radius + 1, hops + 1):
+            mark = ~(hops - n)
+            reached = []
+            for u in frontier:
+                for v in nbrs[u]:
+                    if label[v] == mark:
+                        label[v] = n
+                        reached.append(v)
+            frontier = reached
+        path = [i]
+        for remaining in range(hops - 1, -1, -1):
             path.append(
-                min((v for v in nbrs[path[-1]] if dist[v] == remaining), key=nodes.__getitem__)
+                min((v for v in nbrs[path[-1]] if label[v] == remaining), key=nodes.__getitem__)
             )
-        return tuple([nodes[i] for i in path])
+        return tuple([nodes[k] for k in path])
 
     def hop_distance(self, a: str, b: str) -> int | None:
         """Hop distance between a and b; None when they are not connected.

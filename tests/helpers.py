@@ -1,12 +1,13 @@
 """Test-local oracles and generators.
 
 Everything here is deliberately independent of the package under test:
-plain-dict graph handling, an integer BFS, a path-into-clique check by
-BFS levels, a union-find connectivity counter, labeled connected
-counts by edge count, a brute-force canonical form, automorphism group
-and its orbits on node sets, ordinal sums by term absorption, a
-seeded random document generator, large and long-diameter documents
-built from it or by hand, and seeded random edits of documents.
+plain-dict graph handling, an integer BFS and the least-id geodesic
+walk on it, a path-into-clique check by BFS levels, a union-find
+connectivity counter, labeled connected counts by edge count, a
+brute-force canonical form, automorphism group and its orbits on node
+sets, ordinal sums by term absorption, a seeded random document
+generator, large and long-diameter documents built from it or by hand,
+and seeded random edits of documents.
 Acceptance tests compare package results against these, so nothing in
 this module may import from tgstatus; code that needs a process of its
 own (to see which modules the package loads) runs in a new interpreter.
@@ -51,6 +52,22 @@ def _oracle_bfs(adjacency, source):
                     nxt.append(v)
         frontier = nxt
     return dist
+
+
+def oracle_geodesic(nodes, edges, a, b):
+    """The least id sequence among the shortest paths from a to b, as a
+    list of ids; None when they are not connected.  A full BFS from b,
+    then a walk from a that steps to the least-id neighbour one hop
+    nearer to b."""
+    adjacency = _oracle_adjacency(nodes, edges)
+    dist = _oracle_bfs(adjacency, b)
+    if a not in dist:
+        return None
+    path = [a]
+    while path[-1] != b:
+        node = path[-1]
+        path.append(min(n for n in adjacency[node] if dist[n] == dist[node] - 1))
+    return path
 
 
 def oracle_status(nodes, edges, source):

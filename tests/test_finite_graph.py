@@ -8,7 +8,7 @@ from math import comb, factorial
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tgstatus import finite_graph
 from tgstatus.cli import main
@@ -53,6 +53,30 @@ CONNECTED_CLASSES = [1, 1, 2, 6, 21, 112, 853]
 def path_graph(n):
     names = [f"v{i}" for i in range(1, n + 1)]
     return FiniteGraph(names, list(zip(names, names[1:])))
+
+
+def cycle_graph(n):
+    names = [f"v{i}" for i in range(1, n + 1)]
+    return FiniteGraph(names, list(zip(names, names[1:] + names[:1])))
+
+
+def complete_bipartite_graph(m, n):
+    left = [f"a{i}" for i in range(1, m + 1)]
+    right = [f"b{i}" for i in range(1, n + 1)]
+    return FiniteGraph(left + right, [(u, v) for u in left for v in right])
+
+
+def grid_graph(rows, cols):
+    names = {(r, c): f"r{r}c{c}" for r in range(rows) for c in range(cols)}
+    edges = [(names[r, c], names[r, c + 1]) for r in range(rows) for c in range(cols - 1)]
+    edges += [(names[r, c], names[r + 1, c]) for r in range(rows - 1) for c in range(cols)]
+    return FiniteGraph(names.values(), edges)
+
+
+def hypercube_graph(d):
+    names = [format(k, f"0{d}b") for k in range(1 << d)]
+    edges = [(names[k ^ 1 << bit], names[k]) for k in range(1 << d) for bit in range(d) if k >> bit & 1]
+    return FiniteGraph(names, edges)
 
 
 @st.composite
@@ -247,6 +271,16 @@ class TestDistancesAndStatus:
         with pytest.raises(GraphError):
             path_graph(2).bfs_distances("nope")
 
+    # Graphs with many tied shortest paths, whose two balls meet at a
+    # node (even hops) and across an edge (odd hops), and whose frontiers
+    # often tie: K_{3,4}, the 4 x 4 grid, the hypercube Q4, C8, C9 and
+    # the 12-node path.
+    @example(complete_bipartite_graph(3, 4))
+    @example(grid_graph(4, 4))
+    @example(hypercube_graph(4))
+    @example(cycle_graph(8))
+    @example(cycle_graph(9))
+    @example(path_graph(12))
     @given(st.one_of(connected_graphs(), any_graphs(), drawn_graphs(True), drawn_graphs(False)))
     def test_shortest_path_steps_to_the_least_nearer_neighbour(self, g):
         for b in g.nodes:

@@ -28,6 +28,7 @@ from helpers import (
     document_text,
     large_documents,
     oracle_bfs,
+    oracle_geodesic,
     oracle_ordinal_text,
     oracle_replacement,
     oracle_status,
@@ -57,10 +58,6 @@ class OracleSession:
 
     def __init__(self, doc):
         self.nodes, self.edges = oracle_replacement(doc)
-        self.adjacency = {node: set() for node in self.nodes}
-        for u, v in self.edges:
-            self.adjacency[u].add(v)
-            self.adjacency[v].add(u)
         self.element = {node: node for node in self.nodes}
         self.node_of = {}
         for section in doc["sections"]:
@@ -69,7 +66,7 @@ class OracleSession:
                 self.node_of[internal["id"]] = section["representative"]
         for mu_node in doc["mu_nodes"]:
             self.node_of[mu_node["id"]] = (
-                mu_node["id"] if mu_node["id"] in self.adjacency else None
+                mu_node["id"] if mu_node["id"] in self.element else None
             )
         self._dist = {}
 
@@ -79,14 +76,8 @@ class OracleSession:
         return self._dist[source]
 
     def geodesic(self, a, b):
-        """Walk from a's 0-node to the smallest neighbour one hop nearer
-        to b's, on full BFS distances from b's."""
-        node, target = self.node_of[a], self.node_of[b]
-        dist = self.dist(target)
-        sequence = [node]
-        while node != target:
-            node = min(n for n in self.adjacency[node] if dist.get(n) == dist[node] - 1)
-            sequence.append(node)
+        """The oracle_geodesic from a's 0-node to b's, as elements."""
+        sequence = oracle_geodesic(self.nodes, self.edges, self.node_of[a], self.node_of[b])
         return AbstractPath(tuple(self.element[n] for n in sequence))
 
 
@@ -204,6 +195,17 @@ class TestGeodesic:
         with pytest.raises(StatusError, match="distance 0"):
             geodesic(g, r, "y1", "z1")
 
+    @pytest.mark.parametrize("name", ["g1_with_singletons", "g3"])
+    def test_searches_from_both_ends_without_a_full_bfs(self, name, bfs_sources):
+        # The search meets in the middle, so no geodesic runs the row BFS
+        # that statuses use.
+        g, r = loaded(name)
+        bfs_sources.clear()
+        for a in r.graph.nodes:
+            for b in r.graph.nodes:
+                if a != b:
+                    geodesic(g, r, a, b)
+        assert bfs_sources == []
 
     def check_against_oracle(self, doc):
         g = parse_document(document_text(doc))
@@ -333,9 +335,9 @@ def bfs_sources(monkeypatch):
     sources = []
     bfs = FiniteGraph._distances
 
-    def counted(self, start, *args):
+    def counted(self, start):
         sources.append(self.nodes[start])
-        return bfs(self, start, *args)
+        return bfs(self, start)
 
     monkeypatch.setattr(FiniteGraph, "_distances", counted)
     return sources
@@ -436,16 +438,32 @@ def test_ten_thousand_node_document_against_the_oracles():
 def test_two_tip_ring_document_against_the_oracle(rank):
     """Every status of a document whose sections lie on a shuffled chain
     closed onto a random section, with p >= 1,000 and a BFS depth above
-    200 from its first mu-node, is w^rank times the oracle's."""
+    200 from its first mu-node, is w^rank times the oracle's, and 20
+    geodesics are the oracle's.  They include the one from the first
+    mu-node to the 0-node farthest from it, whose two-sided search grows
+    the first mu-node's ball deepest, so that the labels extend from the
+    other ball into it over the most levels."""
     doc = wide_document(500, seed=29, rank=rank, max_tips=2)
     nodes, edges = oracle_replacement(doc)
     assert len(nodes) >= 1000
-    report = status_report(parse_document(document_text(doc)))
+    graph = parse_document(document_text(doc))
+    report = status_report(graph)
     ids = [entry.id for entry in report.entries]
     assert report.p == len(nodes)
-    assert max(oracle_bfs(nodes, edges, ids[0]).values()) > 200
+    depth = oracle_bfs(nodes, edges, ids[0])
+    assert max(depth.values()) > 200
     expected = [oracle_ordinal_text(rank, s) for s in oracle_statuses(nodes, edges, ids)]
     assert [str(entry.status) for entry in report.entries] == expected
+    result = build_replacement(graph)
+    oracle = OracleSession(doc)
+    pairs = [(ids[0], max(depth, key=depth.get))]
+    rng = random.Random(29)
+    while len(pairs) < 20:
+        a, b = rng.sample(ids, 2)
+        if oracle.node_of[a] != oracle.node_of[b]:
+            pairs.append((a, b))
+    for a, b in pairs:
+        assert geodesic(graph, result, a, b) == oracle.geodesic(a, b), (a, b)
 
 
 class TestReport:
