@@ -95,6 +95,26 @@ class FiniteGraph:
         self._nbrs = nbrs
         self._connected: bool | None = None
 
+    @classmethod
+    def _of(
+        cls,
+        nodes: tuple[str, ...],
+        index: dict[str, int],
+        edges: tuple[tuple[str, str], ...],
+        nbrs: list[list[int]],
+    ) -> FiniteGraph:
+        """A graph from its parts, unchecked: for callers whose edges are
+        simple by construction.  ``index`` maps each node to its position,
+        ``edges`` holds sorted id pairs and ``nbrs[i]`` the indices of
+        node i's neighbours, both in edge order, as ``__init__`` keeps them."""
+        graph = cls.__new__(cls)
+        graph._nodes = nodes
+        graph._index = index
+        graph._edges = edges
+        graph._nbrs = nbrs
+        graph._connected = None
+        return graph
+
     @property
     def nodes(self) -> tuple[str, ...]:
         return self._nodes
@@ -240,12 +260,15 @@ class FiniteGraph:
                         label[v] = n
                         reached.append(v)
             frontier = reached
-        path = [i]
+        u, path = i, [nodes[i]]
         for remaining in range(hops - 1, -1, -1):
-            path.append(
-                min((v for v in nbrs[path[-1]] if label[v] == remaining), key=nodes.__getitem__)
-            )
-        return tuple([nodes[k] for k in path])
+            step = name = None
+            for v in nbrs[u]:
+                if label[v] == remaining and (name is None or nodes[v] < name):
+                    step, name = v, nodes[v]
+            u = step
+            path.append(name)
+        return tuple(path)
 
     def hop_distance(self, a: str, b: str) -> int | None:
         """Hop distance between a and b; None when they are not connected.
@@ -792,6 +815,22 @@ def _upper_witness(p: int, q: int) -> tuple[list[tuple[int, int]], int]:
     return sorted(edges), path[-1]
 
 
+def _simple_graph(
+    names: tuple[str, ...], index: dict[str, int], pairs: list[tuple[int, int]]
+) -> FiniteGraph:
+    """The graph on names whose edges join the index pairs, which are
+    distinct and join two nodes each, so it is built unchecked.  Each
+    edge keeps its ids in string order: ("v10", "v2")."""
+    nbrs: list[list[int]] = [[] for _ in names]
+    edges = []
+    for i, j in pairs:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+        u, v = names[i], names[j]
+        edges.append((u, v) if u <= v else (v, u))
+    return FiniteGraph._of(names, index, tuple(edges), nbrs)
+
+
 def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
     """Witness nodes of the lower and the upper status bound on
     p <= MAX_EXTREMAL_NODES nodes and q edges, for every q with
@@ -837,12 +876,13 @@ def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
             f"q={q!r} outside the feasible range [{p - 1}, {p * (p - 1) // 2}] for p={p}"
         )
     names = _node_names(p)
+    index = {name: i for i, name in enumerate(names)}
     lower, upper = status_bounds_values(p, q)
     first = list(islice(combinations(range(p), 2), q))
     edges, node = _upper_witness(p, q)
-    lower_graph = upper_graph = FiniteGraph(names, [(names[i], names[j]) for i, j in first])
+    lower_graph = upper_graph = _simple_graph(names, index, first)
     if edges != first:
-        upper_graph = FiniteGraph(names, [(names[i], names[j]) for i, j in edges])
+        upper_graph = _simple_graph(names, index, edges)
     if upper_graph.status(names[node]) != upper:
         raise GraphError(f"the constructed upper witness for p={p}, q={q} misses the bound")
     return Witness(lower_graph, names[0], lower), Witness(upper_graph, names[node], upper)

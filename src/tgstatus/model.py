@@ -14,11 +14,12 @@ arrays instead of sections and mu-nodes.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any
+from functools import cached_property, wraps
+from typing import Any, Callable, TypeVar
 
 from .finite_graph import FiniteGraph, GraphError
 
@@ -50,7 +51,7 @@ class DocumentError(ValueError):
     """Malformed or inconsistent graph document."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tip:
     """A graphical extremity of a mu-node, identified by its home section."""
 
@@ -58,7 +59,7 @@ class Tip:
     section: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MuNode:
     """A node of highest rank, holding one or more tips and nothing else."""
 
@@ -69,7 +70,7 @@ class MuNode:
     def is_nonsingleton(self) -> bool:
         return len(self.tips) >= 2
 
-    @cached_property
+    @property
     def incident_sections(self) -> tuple[str, ...]:
         """Distinct home sections of the tips, in tip declaration order.
 
@@ -82,7 +83,7 @@ class MuNode:
         return tuple(homes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InternalNode:
     """A named lower-rank node inside a section."""
 
@@ -91,7 +92,7 @@ class InternalNode:
     nonsingleton: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Section:
     """A maximal lower-rank subgraph with a designated representative."""
 
@@ -142,26 +143,48 @@ class TransfiniteGraph:
         join each section, in section order, to its nonsingleton
         mu-nodes in declaration order, then each included singleton to
         its home section.  Needs ids that pass validation's
-        ``identifiers`` check.
+        ``identifiers`` check: then no branch repeats and none is a
+        self-loop, so the graph is built on node indices unchecked.
         """
+        mu_nodes = self.nonsingleton_mu_nodes
         singletons = [
             m for m in map(self._mu_index.get, self.include_singletons) if m and not m.is_nonsingleton
         ]
-        origin = {m.id: ("mu-node", m.id) for m in self.nonsingleton_mu_nodes}
+        origin = {m.id: ("mu-node", m.id) for m in mu_nodes}
         origin.update((s.representative, ("section", s.id)) for s in self.sections)
         origin.update((m.id, ("singleton", m.id)) for m in singletons)
         zero_node = {element: node for node, (_, element) in origin.items()}
-        members: dict[str, list[str]] = {section.id: [] for section in self.sections}
-        for mu_node in self.nonsingleton_mu_nodes:
-            mu_id = mu_node.id
+        nodes = tuple(origin)
+        # One int per node, shared by the index and every neighbour list.
+        positions = list(range(len(nodes)))
+        index = dict(zip(nodes, positions))
+        sections = positions[len(mu_nodes) : len(mu_nodes) + len(self.sections)]
+        home = dict(zip([section.id for section in self.sections], sections))
+        nbrs: list[list[int]] = [[] for _ in nodes]
+        for i, mu_node in zip(positions, mu_nodes):
             for tip in mu_node.tips:
-                joined = members[tip.section]
+                joined = nbrs[home[tip.section]]
                 # Mu-nodes join in turn, so a home that repeats has this one last.
-                if not joined or joined[-1] != mu_id:
-                    joined.append(mu_id)
-        edges = [(zero_node[home], mu_id) for home, mu_ids in members.items() for mu_id in mu_ids]
-        edges += [(zero_node[h], m.id) for m in singletons for h in m.incident_sections]
-        return FiniteGraph(origin, edges), zero_node, origin
+                if not joined or joined[-1] != i:
+                    joined.append(i)
+        # Branches in edge order: each section to its mu-nodes, then each
+        # included singleton to its home.  Only section lists hold any yet.
+        edges: list[tuple[str, str]] = []
+        for s in sections:
+            rep = nodes[s]
+            for i in nbrs[s]:
+                nbrs[i].append(s)
+                mu_id = nodes[i]
+                edges.append((rep, mu_id) if rep <= mu_id else (mu_id, rep))
+        for m in singletons:
+            i = index[m.id]
+            for tip in m.tips:  # at most one
+                s = home[tip.section]
+                nbrs[s].append(i)
+                nbrs[i].append(s)
+                rep = nodes[s]
+                edges.append((rep, m.id) if rep <= m.id else (m.id, rep))
+        return FiniteGraph._of(nodes, index, tuple(edges), nbrs), zero_node, origin
 
     def has_section(self, section_id: str) -> bool:
         return section_id in self._section_index
@@ -287,6 +310,29 @@ def _document_rank(obj: dict[str, Any]) -> int:
     return rank
 
 
+_Read = TypeVar("_Read")
+
+
+def _collector_paused(read: Callable[[str], _Read]) -> Callable[[str], _Read]:
+    """``read`` with the cyclic garbage collector paused while it decodes
+    and builds records, then the caller's state restored.  A read builds
+    objects that all live on or die by reference count, so a collection
+    pass in between would only rescan them."""
+
+    @wraps(read)
+    def paused(text: str) -> _Read:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return read(text)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def parse_document(text: str) -> TransfiniteGraph:
     """Parse a rank >= 1 document into a fully resolved model.
 
@@ -304,6 +350,7 @@ def parse_document(text: str) -> TransfiniteGraph:
     return _transfinite_from_obj(obj, rank)
 
 
+@_collector_paused
 def parse_finite_document(text: str) -> FiniteGraph:
     """Parse a rank-0 document (nodes/edges arrays) into a finite graph."""
     obj = _json_object(text)
@@ -312,6 +359,7 @@ def parse_finite_document(text: str) -> FiniteGraph:
     return _finite_from_obj(obj)
 
 
+@_collector_paused
 def load_document(text: str) -> TransfiniteGraph | FiniteGraph:
     """Dispatch on rank: 0 loads a finite graph, >= 1 a transfinite one."""
     obj = _json_object(text)

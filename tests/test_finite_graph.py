@@ -979,7 +979,9 @@ class TestExtremalSearch:
 
     def test_search_past_the_enumeration_cap(self):
         # Both witnesses by the oracle, for every feasible q on 8..12
-        # nodes and for a few q on MAX_EXTREMAL_NODES nodes.
+        # nodes and for a few q on MAX_EXTREMAL_NODES nodes.  They are
+        # built unchecked, so each must also be what the checked
+        # constructor builds from its edges.
         top = MAX_EXTREMAL_NODES
         cases = [(p, q) for p in range(8, 13) for q in range(p - 1, p * (p - 1) // 2 + 1)]
         cases += [(top, q) for q in (top - 1, top, 2 * top, comb(top, 2) - 1, comb(top, 2))]
@@ -989,6 +991,8 @@ class TestExtremalSearch:
                 g = witness.graph
                 assert g.nodes == tuple(f"v{i}" for i in range(1, p + 1)) and g.q == q, (p, q)
                 assert oracle_status(g.nodes, g.edges, witness.node) == witness.status == bound
+                checked = FiniteGraph(g.nodes, g.edges)
+                assert (g._index, g._nbrs) == (checked._index, checked._nbrs), (p, q)
 
     def test_deterministic(self):
         first = extremal_search(4, 4)

@@ -1,8 +1,10 @@
 """Tests for document parsing and validation of transfinite graphs."""
 
+import gc
 import json
 import time
 from collections import Counter
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,10 @@ from hypothesis import given, settings, strategies as st
 from tgstatus.finite_graph import FiniteGraph
 from tgstatus.model import (
     DocumentError,
+    InternalNode,
+    MuNode,
+    Section,
+    Tip,
     TransfiniteGraph,
     ValidationFailed,
     load_document,
@@ -21,7 +27,7 @@ from tgstatus.model import (
 )
 from tgstatus.replacement import build_replacement, iter_simple_paths
 
-from helpers import document_text, mutated_documents, random_document
+from helpers import document_text, mutated_documents, random_document, wide_document
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_graphs"
 DOCUMENT_ERRORS = Path(__file__).resolve().parent / "golden" / "document_errors.txt"
@@ -728,3 +734,136 @@ class TestIncidence:
             ("y1", ("section", "S1"), ("X1", "X2")),
             ("y2", ("section", "S2"), ("X1", "X2")),
         ]
+
+    @staticmethod
+    def checked_zero_graph(g):
+        """The 0-graph through the checked constructor, its branches
+        listed section by section as the docstring of ``_zero_graph`` has
+        them."""
+        _, zero_node, origin = g._zero_graph
+        edges = []
+        for section in g.sections:
+            joined = [m.id for m in g.nonsingleton_mu_nodes if section.id in m.incident_sections]
+            edges += [(section.representative, mu_id) for mu_id in joined]
+        for mu_id in g.include_singletons:
+            m = g.mu_node(mu_id)
+            if not m.is_nonsingleton:
+                edges += [(zero_node[home], mu_id) for home in m.incident_sections]
+        return FiniteGraph(origin, edges)
+
+    def assert_zero_graph_is_checked_one(self, g):
+        graph = g._zero_graph[0]
+        checked = self.checked_zero_graph(g)
+        assert graph.nodes == checked.nodes
+        assert graph.edges == checked.edges
+        assert graph._nbrs == checked._nbrs
+        assert graph._index == checked._index
+
+    @pytest.mark.parametrize("name", ["g1", "g1_with_singletons", "g2", "g3",
+                                      "g3_nondisconnectable_violation"])
+    def test_zero_graph_matches_the_checked_constructor_on_samples(self, name):
+        self.assert_zero_graph_is_checked_one(parse_document(sample(name)))
+
+    @pytest.mark.parametrize("sections, seed, max_tips", [
+        (1, 1, 2), (7, 2, 4), (120, 3, 4), (300, 4, 2), (500, 5, 6),
+    ])
+    def test_zero_graph_matches_the_checked_constructor_on_wide_documents(
+        self, sections, seed, max_tips
+    ):
+        doc = wide_document(sections, seed=seed, max_tips=max_tips)
+        self.assert_zero_graph_is_checked_one(parse_document(document_text(doc)))
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=40)
+    def test_zero_graph_matches_the_checked_constructor_on_random_documents(self, seed):
+        import random
+
+        doc = random_document(random.Random(seed))
+        self.assert_zero_graph_is_checked_one(parse_document(document_text(doc)))
+
+
+class TestCollectorPause:
+    """Each reader decodes and builds records with the cyclic collector
+    paused, and leaves it as the caller had it, however the read ends."""
+
+    READERS = [
+        (parse_document, "g1", minimal(rank=0)),
+        (load_document, "g3", minimal(sections=[])),
+        (load_document, "path4", '{"rank": 0, "nodes": ["a"], "edges": [["a", "b"]]}'),
+        (parse_finite_document, "path4", minimal()),
+    ]
+
+    @pytest.mark.parametrize("read, name, bad", READERS)
+    def test_records_are_built_with_the_collector_paused(self, read, name, bad, monkeypatch):
+        import tgstatus.model
+
+        seen = []
+        for builder in ("_transfinite_from_obj", "_finite_from_obj"):
+            real = getattr(tgstatus.model, builder)
+
+            def recording(*args, real=real):
+                seen.append(gc.isenabled())
+                return real(*args)
+
+            monkeypatch.setattr(tgstatus.model, builder, recording)
+        assert gc.isenabled()
+        read(sample(name))
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("read, name, bad", READERS)
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_is_restored(self, read, name, bad, enabled):
+        if not enabled:
+            gc.disable()
+        try:
+            read(sample(name))
+            assert gc.isenabled() is enabled
+            with pytest.raises(DocumentError):
+                read(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_readers_keep_their_names_and_docstrings(self):
+        for read in (parse_document, load_document, parse_finite_document):
+            assert read.__module__ == "tgstatus.model"
+            assert read.__doc__ == read.__wrapped__.__doc__
+            assert read.__name__ == read.__wrapped__.__name__
+
+
+class TestSlottedRecords:
+    """Tips, mu-nodes, internal nodes and sections keep no ``__dict__``
+    and stay frozen value objects."""
+
+    def records(self):
+        g = parse_document(sample("g1_with_singletons"))
+        section = g.sections[0]
+        mu_node = g.mu_nodes[0]
+        return [section, section.internal_nodes[0], mu_node, mu_node.tips[0]]
+
+    def test_records_have_no_dict(self):
+        for record in self.records():
+            assert not hasattr(record, "__dict__")
+            assert type(record).__slots__ == tuple(f.name for f in fields(record))
+
+    def test_assignment_raises(self):
+        for record in self.records():
+            with pytest.raises(FrozenInstanceError):
+                record.id = "other"
+            with pytest.raises((FrozenInstanceError, AttributeError, TypeError)):
+                record.extra = 1
+
+    def test_equality_hash_and_repr(self):
+        first, second = self.records(), self.records()
+        for a, b in zip(first, second):
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+            assert repr(a) == repr(b)
+        tip = Tip("t1", "S1")
+        assert repr(tip) == "Tip(id='t1', section='S1')"
+        assert repr(InternalNode("y1", 0, True)) == "InternalNode(id='y1', rank=0, nonsingleton=True)"
+        assert repr(MuNode("X1", (tip,))) == "MuNode(id='X1', tips=(Tip(id='t1', section='S1'),))"
+        assert repr(Section("S1", (), "y1")) == "Section(id='S1', internal_nodes=(), representative='y1')"
+        assert tip != Tip("t1", "S2") and tip != ("t1", "S1")
+        assert len({tip, Tip("t1", "S1"), Tip("t2", "S1")}) == 2
