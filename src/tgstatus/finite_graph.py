@@ -181,31 +181,24 @@ class FiniteGraph:
         """Hop distances from source; unreachable nodes map to None."""
         return dict(zip(self._nodes, self._distances(self._node_index(source))))
 
-    def shortest_path(self, a: str, b: str) -> tuple[str, ...] | None:
-        """The node ids of a shortest path from a to b; None when they are
-        not connected.  The path has the least id sequence of all shortest
-        ones.
+    def _meet(self, i: int, j: int) -> tuple[list[int | None], list[int], int, int] | None:
+        """Where the searches from node indices i and j != i meet, as
+        (label, b_frontier, a_radius, b_radius); None when i and j are not
+        connected.
 
-        A level-synchronous BFS grows from both ends, each step expanding
-        the smaller frontier by one whole level (b's on a tie), and stops
-        at the first node a step finds in the other ball.  As in
-        hop_distance, the distance hops is then one more than the sum of
-        the two radii before that step.  Every node on a shortest path
-        lies in just one of those balls.  A node of b's ball holds its
-        distance to b; those of a's ball get theirs level by level
-        outward from b's frontier, since a node at a-level hops - n next
-        to one n - 1 hops from b is n hops from b.  The walk from a then
-        steps, as after a BFS from b alone, to the least-id neighbour one
-        hop nearer to b: every such neighbour lies on a shortest path, so
-        it holds its distance.
+        A level-synchronous BFS grows ball a around i and ball b around j,
+        each step expanding the smaller frontier by one whole level (b's
+        on a tie), and stops at the first node a step finds in the other
+        ball.  Before that step the balls are disjoint, with radii a_radius
+        and b_radius, so d(i, j) > a_radius + b_radius; the node found
+        closes a path one hop longer, which is therefore the distance.
+        label[v] is n for a node n hops from j in ball b, ~n for one n hops
+        from i in ball a, and None for a node neither ball holds;
+        b_frontier is ball b's outermost level.  The step that met may
+        have labelled part of its level, each node with its distance from
+        its own end.
         """
-        i = self._node_index(a)
-        j = self._node_index(b)
-        nodes, nbrs = self._nodes, self._nbrs
-        if i == j:
-            return (nodes[i],)
-        # label[v] is n for a node n hops from b in b's ball, ~n for one
-        # n hops from a in a's ball, and None for a node neither ball holds.
+        nbrs = self._nbrs
         label: list[int | None] = [None] * len(nbrs)
         label[j], label[i] = 0, ~0
         b_frontier, a_frontier = [j], [i]
@@ -221,13 +214,8 @@ class FiniteGraph:
                             label[v] = level
                             reached.append(v)
                         elif lv < 0:
-                            break
-                    else:
-                        continue
-                    break
-                else:
-                    b_frontier, b_radius = reached, level
-                    continue
+                            return label, b_frontier, a_radius, b_radius
+                b_frontier, b_radius = reached, level
             else:
                 level = a_radius + 1
                 mark = ~level
@@ -238,16 +226,34 @@ class FiniteGraph:
                             label[v] = mark
                             reached.append(v)
                         elif lv >= 0:
-                            break
-                    else:
-                        continue
-                    break
-                else:
-                    a_frontier, a_radius = reached, level
-                    continue
-            break  # the step reached the other ball
-        else:
+                            return label, b_frontier, a_radius, b_radius
+                a_frontier, a_radius = reached, level
+        return None
+
+    def shortest_path(self, a: str, b: str) -> tuple[str, ...] | None:
+        """The node ids of a shortest path from a to b; None when they are
+        not connected.  The path has the least id sequence of all shortest
+        ones.
+
+        The search is _meet's, from a's and b's ends; the distance hops is
+        one more than the sum of the two radii.  Every node on a shortest
+        path lies in just one of the two balls.  A node of b's ball holds
+        its distance to b; those of a's ball get theirs level by level
+        outward from b's frontier, since a node at a-level hops - n next
+        to one n - 1 hops from b is n hops from b.  The walk from a then
+        steps, as after a BFS from b alone, to the least-id neighbour one
+        hop nearer to b: every such neighbour lies on a shortest path, so
+        it holds its distance.
+        """
+        i = self._node_index(a)
+        j = self._node_index(b)
+        nodes, nbrs = self._nodes, self._nbrs
+        if i == j:
+            return (nodes[i],)
+        met = self._meet(i, j)
+        if met is None:
             return None
+        label, b_frontier, a_radius, b_radius = met
         hops = a_radius + b_radius + 1
         # Label the nodes of a's ball on a shortest path, n hops from b.
         frontier = b_frontier
@@ -273,38 +279,18 @@ class FiniteGraph:
     def hop_distance(self, a: str, b: str) -> int | None:
         """Hop distance between a and b; None when they are not connected.
 
-        A level-synchronous BFS grows from both ends, each step expanding
-        the smaller frontier by one whole level.  Before a step the two
-        balls are disjoint and their radii sum to hops, so d(a, b) > hops;
-        a node the step reaches in the other ball closes a path of at
-        most hops + 1, which is therefore the distance.
+        The search is _meet's; the distance is one more than the sum of
+        the radii of its two balls.
         """
         i = self._node_index(a)
         j = self._node_index(b)
         if i == j:
             return 0
-        nbrs = self._nbrs
-        # side[v] is 0 for a node neither ball holds, else the mark of its ball.
-        side = bytearray(len(nbrs))
-        side[i], side[j] = 1, 2
-        frontier, other_frontier = [i], [j]
-        mark, other_mark = 1, 2
-        hops = 0
-        while frontier and other_frontier:
-            if len(frontier) > len(other_frontier):
-                frontier, other_frontier = other_frontier, frontier
-                mark, other_mark = other_mark, mark
-            reached = []
-            for u in frontier:
-                for v in nbrs[u]:
-                    if side[v] != mark:
-                        if side[v]:
-                            return hops + 1
-                        side[v] = mark
-                        reached.append(v)
-            frontier = reached
-            hops += 1
-        return None
+        met = self._meet(i, j)
+        if met is None:
+            return None
+        _, _, a_radius, b_radius = met
+        return a_radius + b_radius + 1
 
     def status(self, node: str) -> int:
         """Sum of distances from node to all other nodes; needs connectivity."""

@@ -271,10 +271,10 @@ class TestDistancesAndStatus:
         with pytest.raises(GraphError):
             path_graph(2).bfs_distances("nope")
 
-    # Graphs with many tied shortest paths, whose two balls meet at a
-    # node (even hops) and across an edge (odd hops), and whose frontiers
-    # often tie: K_{3,4}, the 4 x 4 grid, the hypercube Q4, C8, C9 and
-    # the 12-node path.
+    # Here and in the next test, graphs with many tied shortest paths,
+    # whose two balls meet at a node (even hops) and across an edge (odd
+    # hops), and whose frontiers often tie: K_{3,4}, the 4 x 4 grid, the
+    # hypercube Q4, C8, C9 and the 12-node path.
     @example(complete_bipartite_graph(3, 4))
     @example(grid_graph(4, 4))
     @example(hypercube_graph(4))
@@ -297,6 +297,12 @@ class TestDistancesAndStatus:
                     nearer = [w for w in g.neighbors(u) if dist.get(w) == dist[u] - 1]
                     assert v == min(nearer)
 
+    @example(complete_bipartite_graph(3, 4))
+    @example(grid_graph(4, 4))
+    @example(hypercube_graph(4))
+    @example(cycle_graph(8))
+    @example(cycle_graph(9))
+    @example(path_graph(12))
     @given(st.one_of(connected_graphs(), any_graphs(), drawn_graphs(True), drawn_graphs(False)))
     def test_hop_distance_matches_oracle_on_every_pair(self, g):
         for a in g.nodes:

@@ -195,16 +195,17 @@ class TestGeodesic:
         with pytest.raises(StatusError, match="distance 0"):
             geodesic(g, r, "y1", "z1")
 
+    @pytest.mark.parametrize("query", [geodesic, mu_distance], ids=["geodesic", "mu_distance"])
     @pytest.mark.parametrize("name", ["g1_with_singletons", "g3"])
-    def test_searches_from_both_ends_without_a_full_bfs(self, name, bfs_sources):
-        # The search meets in the middle, so no geodesic runs the row BFS
-        # that statuses use.
+    def test_searches_from_both_ends_without_a_full_bfs(self, name, query, bfs_sources):
+        # The search meets in the middle, so no geodesic or distance runs
+        # the row BFS that statuses use.
         g, r = loaded(name)
         bfs_sources.clear()
         for a in r.graph.nodes:
             for b in r.graph.nodes:
                 if a != b:
-                    geodesic(g, r, a, b)
+                    query(g, r, a, b)
         assert bfs_sources == []
 
     def check_against_oracle(self, doc):
