@@ -6,7 +6,6 @@ Output is byte-deterministic for identical inputs and flags.
 
 from __future__ import annotations
 
-import gc
 import json
 import sys
 from typing import TYPE_CHECKING, Any, Callable, NoReturn, TypeVar
@@ -18,6 +17,7 @@ from .finite_graph import (
     GraphError,
     MAX_VERIFY_NODES,
     Witness,
+    _collector_paused,
     bound_violation_counts,
     extremal_search,
 )
@@ -106,12 +106,10 @@ class _Shell(click.Group):
             _input_error(exc.format_message())
 
     def invoke(self, ctx: click.Context) -> Any:
-        # A command builds one document's objects and drops them at exit, so
-        # the cyclic collector would only rescan them; restore its state after.
-        collecting = gc.isenabled()
-        gc.disable()
         try:
-            return super().invoke(ctx)
+            # A command builds one document's objects and drops them at exit.
+            with _collector_paused():
+                return super().invoke(ctx)
         except click.UsageError as exc:
             _input_error(exc.format_message())
         except GraphError as exc:
@@ -129,9 +127,6 @@ class _Shell(click.Group):
             if not isinstance(exc, StatusError):
                 raise
             _input_error(str(exc))
-        finally:
-            if collecting:
-                gc.enable()
 
 
 @click.group(cls=_Shell)

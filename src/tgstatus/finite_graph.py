@@ -14,6 +14,8 @@ bounds, built in closed form.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import factorial, lcm
@@ -45,6 +47,22 @@ MAX_EXTREMAL_NODES = 100
 
 class GraphError(ValueError):
     """Invalid construction or an operation on an unsuitable graph."""
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, then restore the caller's state
+    however the block ends.  A command or a document read builds objects
+    that all live on or die by reference count, so a collection pass in
+    between would only rescan them.  Also a decorator, as every context
+    manager made by ``contextmanager`` is."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class FiniteGraph:
@@ -96,21 +114,39 @@ class FiniteGraph:
         self._connected: bool | None = None
 
     @classmethod
-    def _of(
-        cls,
-        nodes: tuple[str, ...],
-        index: dict[str, int],
-        edges: tuple[tuple[str, str], ...],
-        nbrs: list[list[int]],
-    ) -> FiniteGraph:
-        """A graph from its parts, unchecked: for callers whose edges are
-        simple by construction.  ``index`` maps each node to its position,
-        ``edges`` holds sorted id pairs and ``nbrs[i]`` the indices of
-        node i's neighbours, both in edge order, as ``__init__`` keeps them."""
+    def _of(cls, nodes: tuple[str, ...], groups: Iterable[tuple[int, list[int]]]) -> FiniteGraph:
+        """The graph on nodes whose edges come in groups, unchecked: for
+        callers whose edges are simple by construction.  A group
+        (i, [j, ...]) joins node index i to each j, in that order, and the
+        groups' edges in turn are the graph's edge order, as the edges
+        given to ``__init__`` would be.  A group's list becomes node i's
+        neighbour list when no earlier edge has touched i, so the caller
+        hands it over and keeps no use of it."""
+        # None marks a node no edge has touched yet.  A fresh list per node
+        # would be garbage wherever a group is taken over, and on large
+        # graphs that garbage triggers extra full collector passes.
+        nbrs: list[list[int] | None] = [None] * len(nodes)
+        edges = []
+        for i, group in groups:
+            own = nbrs[i]
+            if own is None:
+                nbrs[i] = group
+            else:
+                own += group
+            u = nodes[i]
+            for j in group:
+                other = nbrs[j]
+                if other is None:
+                    other = nbrs[j] = []
+                other.append(i)
+                v = nodes[j]
+                edges.append((u, v) if u <= v else (v, u))
+        if None in nbrs:  # isolated nodes
+            nbrs = [[] if own is None else own for own in nbrs]
         graph = cls.__new__(cls)
         graph._nodes = nodes
-        graph._index = index
-        graph._edges = edges
+        graph._index = {node: i for i, node in enumerate(nodes)}
+        graph._edges = tuple(edges)
         graph._nbrs = nbrs
         graph._connected = None
         return graph
@@ -801,22 +837,6 @@ def _upper_witness(p: int, q: int) -> tuple[list[tuple[int, int]], int]:
     return sorted(edges), path[-1]
 
 
-def _simple_graph(
-    names: tuple[str, ...], index: dict[str, int], pairs: list[tuple[int, int]]
-) -> FiniteGraph:
-    """The graph on names whose edges join the index pairs, which are
-    distinct and join two nodes each, so it is built unchecked.  Each
-    edge keeps its ids in string order: ("v10", "v2")."""
-    nbrs: list[list[int]] = [[] for _ in names]
-    edges = []
-    for i, j in pairs:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-        u, v = names[i], names[j]
-        edges.append((u, v) if u <= v else (v, u))
-    return FiniteGraph._of(names, index, tuple(edges), nbrs)
-
-
 def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
     """Witness nodes of the lower and the upper status bound on
     p <= MAX_EXTREMAL_NODES nodes and q edges, for every q with
@@ -862,13 +882,13 @@ def extremal_search(p: int, q: int) -> tuple[Witness, Witness]:
             f"q={q!r} outside the feasible range [{p - 1}, {p * (p - 1) // 2}] for p={p}"
         )
     names = _node_names(p)
-    index = {name: i for i, name in enumerate(names)}
     lower, upper = status_bounds_values(p, q)
     first = list(islice(combinations(range(p), 2), q))
     edges, node = _upper_witness(p, q)
-    lower_graph = upper_graph = _simple_graph(names, index, first)
+    # Both edge lists hold distinct index pairs of two nodes each.
+    lower_graph = upper_graph = FiniteGraph._of(names, ((i, [j]) for i, j in first))
     if edges != first:
-        upper_graph = _simple_graph(names, index, edges)
+        upper_graph = FiniteGraph._of(names, ((i, [j]) for i, j in edges))
     if upper_graph.status(names[node]) != upper:
         raise GraphError(f"the constructed upper witness for p={p}, q={q} misses the bound")
     return Witness(lower_graph, names[0], lower), Witness(upper_graph, names[node], upper)

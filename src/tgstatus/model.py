@@ -14,14 +14,14 @@ arrays instead of sections and mu-nodes.
 
 from __future__ import annotations
 
-import gc
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, wraps
-from typing import Any, Callable, TypeVar
+from functools import cached_property
+from itertools import chain
+from typing import Any
 
-from .finite_graph import FiniteGraph, GraphError
+from .finite_graph import FiniteGraph, GraphError, _collector_paused
 
 __all__ = [
     "DocumentError",
@@ -142,9 +142,12 @@ class TransfiniteGraph:
         singleton mu-nodes, each group in declaration order.  Branches
         join each section, in section order, to its nonsingleton
         mu-nodes in declaration order, then each included singleton to
-        its home section.  Needs ids that pass validation's
-        ``identifiers`` check: then no branch repeats and none is a
-        self-loop, so the graph is built on node indices unchecked.
+        its home section.  Each branch keeps its ids in string order.
+        Needs ids that pass validation's ``identifiers`` check: then no
+        branch repeats and none is a self-loop, so the branches go to
+        ``FiniteGraph._of`` unchecked, as edge groups on node indices:
+        each section's list of mu-node indices, which becomes its
+        neighbour list, then one group per included singleton.
         """
         mu_nodes = self.nonsingleton_mu_nodes
         singletons = [
@@ -154,37 +157,23 @@ class TransfiniteGraph:
         origin.update((s.representative, ("section", s.id)) for s in self.sections)
         origin.update((m.id, ("singleton", m.id)) for m in singletons)
         zero_node = {element: node for node, (_, element) in origin.items()}
-        nodes = tuple(origin)
-        # One int per node, shared by the index and every neighbour list.
-        positions = list(range(len(nodes)))
-        index = dict(zip(nodes, positions))
-        sections = positions[len(mu_nodes) : len(mu_nodes) + len(self.sections)]
-        home = dict(zip([section.id for section in self.sections], sections))
-        nbrs: list[list[int]] = [[] for _ in nodes]
-        for i, mu_node in zip(positions, mu_nodes):
+        first = len(mu_nodes)  # the node index of the first section
+        home = {section.id: k for k, section in enumerate(self.sections)}
+        joined: list[list[int]] = [[] for _ in self.sections]
+        for i, mu_node in enumerate(mu_nodes):
             for tip in mu_node.tips:
-                joined = nbrs[home[tip.section]]
+                group = joined[home[tip.section]]
                 # Mu-nodes join in turn, so a home that repeats has this one last.
-                if not joined or joined[-1] != i:
-                    joined.append(i)
-        # Branches in edge order: each section to its mu-nodes, then each
-        # included singleton to its home.  Only section lists hold any yet.
-        edges: list[tuple[str, str]] = []
-        for s in sections:
-            rep = nodes[s]
-            for i in nbrs[s]:
-                nbrs[i].append(s)
-                mu_id = nodes[i]
-                edges.append((rep, mu_id) if rep <= mu_id else (mu_id, rep))
-        for m in singletons:
-            i = index[m.id]
-            for tip in m.tips:  # at most one
-                s = home[tip.section]
-                nbrs[s].append(i)
-                nbrs[i].append(s)
-                rep = nodes[s]
-                edges.append((rep, m.id) if rep <= m.id else (m.id, rep))
-        return FiniteGraph._of(nodes, index, tuple(edges), nbrs), zero_node, origin
+                if not group or group[-1] != i:
+                    group.append(i)
+        groups = chain(
+            enumerate(joined, first),
+            (
+                (i, [first + home[tip.section] for tip in m.tips])  # at most one tip
+                for i, m in enumerate(singletons, first + len(joined))
+            ),
+        )
+        return FiniteGraph._of(tuple(origin), groups), zero_node, origin
 
     def has_section(self, section_id: str) -> bool:
         return section_id in self._section_index
@@ -273,6 +262,10 @@ def _is_id_pair(value: Any) -> bool:
 _ID_RULE = "must not hold whitespace or non-printable characters"
 
 
+def _breaks_id_rule(identifier: str) -> bool:
+    return " " in identifier or not identifier.isprintable()
+
+
 def _claim(
     raw: Any, keys: set[str], ids: set[str], names: tuple[str, str, str], owner: str = ""
 ) -> str:
@@ -291,7 +284,7 @@ def _claim(
     identifier = raw.get("id")
     if not isinstance(identifier, str) or not identifier:
         raise DocumentError(f"{names[2].format(owner)}: 'id' must be a non-empty string")
-    if " " in identifier or not identifier.isprintable():
+    if _breaks_id_rule(identifier):
         raise DocumentError(f"{names[2].format(owner)}: id {identifier!r} {_ID_RULE}")
     if identifier in ids:
         raise DocumentError(f"{names[0].format(owner)}: duplicate identifier {identifier!r}")
@@ -310,29 +303,7 @@ def _document_rank(obj: dict[str, Any]) -> int:
     return rank
 
 
-_Read = TypeVar("_Read")
-
-
-def _collector_paused(read: Callable[[str], _Read]) -> Callable[[str], _Read]:
-    """``read`` with the cyclic garbage collector paused while it decodes
-    and builds records, then the caller's state restored.  A read builds
-    objects that all live on or die by reference count, so a collection
-    pass in between would only rescan them."""
-
-    @wraps(read)
-    def paused(text: str) -> _Read:
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            return read(text)
-        finally:
-            if collecting:
-                gc.enable()
-
-    return paused
-
-
-@_collector_paused
+@_collector_paused()
 def parse_document(text: str) -> TransfiniteGraph:
     """Parse a rank >= 1 document into a fully resolved model.
 
@@ -350,7 +321,7 @@ def parse_document(text: str) -> TransfiniteGraph:
     return _transfinite_from_obj(obj, rank)
 
 
-@_collector_paused
+@_collector_paused()
 def parse_finite_document(text: str) -> FiniteGraph:
     """Parse a rank-0 document (nodes/edges arrays) into a finite graph."""
     obj = _json_object(text)
@@ -359,7 +330,7 @@ def parse_finite_document(text: str) -> FiniteGraph:
     return _finite_from_obj(obj)
 
 
-@_collector_paused
+@_collector_paused()
 def load_document(text: str) -> TransfiniteGraph | FiniteGraph:
     """Dispatch on rank: 0 loads a finite graph, >= 1 a transfinite one."""
     obj = _json_object(text)
@@ -384,7 +355,7 @@ def _finite_from_obj(obj: dict[str, Any]) -> FiniteGraph:
     for node in nodes:
         if not isinstance(node, str) or not node:
             raise DocumentError(f"document: node id {node!r} must be a non-empty string")
-        if " " in node or not node.isprintable():
+        if _breaks_id_rule(node):
             raise DocumentError(f"document: node id {node!r} {_ID_RULE}")
     edges = []
     for entry in _get_list(obj, "edges", "document"):

@@ -126,6 +126,26 @@ def drawn_graphs(draw, connected):
     return FiniteGraph(nodes, [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)])
 
 
+@st.composite
+def edge_groups(draw):
+    """(nodes, groups) of a simple graph for ``FiniteGraph._of``: ids
+    v0, v1, ... in shuffled order, so string order and index order differ
+    (v10 < v2), and groups (i, [j, ...]) on node indices, where a node's
+    groups need not follow each other and a few drawn nodes get no edge."""
+    p = draw(st.integers(min_value=1, max_value=14))
+    nodes = tuple(draw(st.permutations([f"v{k}" for k in range(p)])))
+    isolated = draw(st.sets(st.integers(0, p - 1), max_size=3))
+    touchable = [k for k in range(p) if k not in isolated]
+    free = {(i, j) for i in touchable for j in touchable if i < j}
+    groups = []
+    for i in draw(st.lists(st.sampled_from(touchable), max_size=2 * p)) if touchable else []:
+        partners = [j for j in touchable if (min(i, j), max(i, j)) in free]
+        group = draw(st.lists(st.sampled_from(partners), unique=True, max_size=4)) if partners else []
+        free -= {(min(i, j), max(i, j)) for j in group}
+        groups.append((i, group))
+    return nodes, groups
+
+
 class TestAgainstOracle:
     """FiniteGraph's searches against oracle_bfs, on connected and on
     disconnected graphs whose node order is not their name order;
@@ -235,6 +255,20 @@ class TestConstruction:
             for v in ids:
                 assert g.has_edge(u, v) == (frozenset((u, v)) in oracle)
             assert not g.has_edge(u, undeclared) and not g.has_edge(undeclared, u)
+
+    @given(edge_groups())
+    @example((("v2", "v10"), [(0, [1])]))
+    @example((("v0", "v1", "v2"), [(0, [1]), (2, [0])]))
+    def test_unchecked_constructor_matches_the_checked_one(self, drawn):
+        nodes, groups = drawn
+        checked = FiniteGraph(nodes, [(nodes[i], nodes[j]) for i, group in groups for j in group])
+        # _of may keep the lists it is handed, so it gets copies.
+        graph = FiniteGraph._of(nodes, ((i, list(group)) for i, group in groups))
+        assert graph.nodes == checked.nodes
+        assert graph.edges == checked.edges
+        assert graph._index == checked._index
+        assert graph._nbrs == checked._nbrs
+        assert graph == checked and hash(graph) == hash(checked)
 
 
 class TestDistancesAndStatus:
