@@ -52,10 +52,10 @@ class GraphError(ValueError):
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, then restore the caller's state
-    however the block ends.  A command or a document read builds objects
-    that all live on or die by reference count, so a collection pass in
-    between would only rescan them.  Also a decorator, as every context
-    manager made by ``contextmanager`` is."""
+    however the block ends.  A command, a document read or a 0-graph
+    build makes objects that all live on or die by reference count, so a
+    collection pass in between would only rescan them.  Also a decorator,
+    as every context manager made by ``contextmanager`` is."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -119,30 +119,17 @@ class FiniteGraph:
         callers whose edges are simple by construction.  A group
         (i, [j, ...]) joins node index i to each j, in that order, and the
         groups' edges in turn are the graph's edge order, as the edges
-        given to ``__init__`` would be.  A group's list becomes node i's
-        neighbour list when no earlier edge has touched i, so the caller
-        hands it over and keeps no use of it."""
-        # None marks a node no edge has touched yet.  A fresh list per node
-        # would be garbage wherever a group is taken over, and on large
-        # graphs that garbage triggers extra full collector passes.
-        nbrs: list[list[int] | None] = [None] * len(nodes)
+        given to ``__init__`` would be.  Every node gets a list of its
+        own, so no list handed in is kept."""
+        nbrs: list[list[int]] = [[] for _ in nodes]
         edges = []
         for i, group in groups:
-            own = nbrs[i]
-            if own is None:
-                nbrs[i] = group
-            else:
-                own += group
+            nbrs[i] += group
             u = nodes[i]
             for j in group:
-                other = nbrs[j]
-                if other is None:
-                    other = nbrs[j] = []
-                other.append(i)
+                nbrs[j].append(i)
                 v = nodes[j]
                 edges.append((u, v) if u <= v else (v, u))
-        if None in nbrs:  # isolated nodes
-            nbrs = [[] if own is None else own for own in nbrs]
         graph = cls.__new__(cls)
         graph._nodes = nodes
         graph._index = {node: i for i, node in enumerate(nodes)}

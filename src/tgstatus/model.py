@@ -134,6 +134,7 @@ class TransfiniteGraph:
         return tuple(m for m in self.mu_nodes if m.is_nonsingleton)
 
     @cached_property
+    @_collector_paused()
     def _zero_graph(self) -> tuple[FiniteGraph, dict[str, str], dict[str, tuple[str, str]]]:
         """The replacement 0-graph with its ``zero_node`` and ``origin`` maps.
 
@@ -146,8 +147,10 @@ class TransfiniteGraph:
         Needs ids that pass validation's ``identifiers`` check: then no
         branch repeats and none is a self-loop, so the branches go to
         ``FiniteGraph._of`` unchecked, as edge groups on node indices:
-        each section's list of mu-node indices, which becomes its
-        neighbour list, then one group per included singleton.
+        each section's list of mu-node indices, then one group per
+        included singleton.  Built with the cyclic collector paused, as
+        a document is read: every object the build makes is kept or
+        freed by reference count.
         """
         mu_nodes = self.nonsingleton_mu_nodes
         singletons = [

@@ -262,13 +262,17 @@ class TestConstruction:
     def test_unchecked_constructor_matches_the_checked_one(self, drawn):
         nodes, groups = drawn
         checked = FiniteGraph(nodes, [(nodes[i], nodes[j]) for i, group in groups for j in group])
-        # _of may keep the lists it is handed, so it gets copies.
-        graph = FiniteGraph._of(nodes, ((i, list(group)) for i, group in groups))
+        graph = FiniteGraph._of(nodes, groups)
         assert graph.nodes == checked.nodes
         assert graph.edges == checked.edges
         assert graph._index == checked._index
         assert graph._nbrs == checked._nbrs
         assert graph == checked and hash(graph) == hash(checked)
+        for _, group in groups:
+            group.clear()
+        assert graph._nbrs == checked._nbrs
+        assert graph.edges == checked.edges
+        assert graph == checked
 
 
 class TestDistancesAndStatus:

@@ -783,8 +783,9 @@ class TestIncidence:
 
 
 class TestCollectorPause:
-    """Each reader decodes and builds records with the cyclic collector
-    paused, and leaves it as the caller had it, however the read ends."""
+    """Each reader decodes and builds records, and a document builds its
+    0-graph, with the cyclic collector paused; each leaves it as the
+    caller had it, however the read ends."""
 
     READERS = [
         (parse_document, "g1", minimal(rank=0)),
@@ -825,8 +826,48 @@ class TestCollectorPause:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_zero_graph_is_built_with_the_collector_paused(self, enabled, monkeypatch):
+        g = parse_document(document_text(wide_document(2000, seed=1)))
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        real = FiniteGraph._of
+        seen = []
+
+        def recording(nodes, groups):
+            seen.append(gc.isenabled())
+            graph = real(nodes, groups)
+            seen.append(len(collections))
+            return graph
+
+        monkeypatch.setattr(FiniteGraph, "_of", recording)
+        # The read leaves its records young; collect them now, so that the
+        # counter sees only the build.
+        gc.collect()
+        if not enabled:
+            gc.disable()
+        gc.callbacks.append(count)
+        try:
+            g._zero_graph
+            after = gc.isenabled()
+        finally:
+            gc.callbacks.remove(count)
+            gc.enable()
+        assert seen == [False, 0]
+        assert after is enabled
+        # Once the pause ends, the first allocation may start one pass over
+        # the young generation, which holds what the build made.
+        if enabled:
+            assert collections in ([], [0])
+        else:
+            assert collections == []
+
     def test_readers_keep_their_names_and_docstrings(self):
-        for read in (parse_document, load_document, parse_finite_document):
+        for read in (parse_document, load_document, parse_finite_document, TransfiniteGraph._zero_graph.func):
             assert read.__module__ == "tgstatus.model"
             assert read.__doc__ == read.__wrapped__.__doc__
             assert read.__name__ == read.__wrapped__.__name__
