@@ -168,16 +168,18 @@ def replace(file: str, as_dot: bool, as_json: bool) -> None:
     if as_dot and as_json:
         _input_error("--dot and --json are mutually exclusive")
     result = build_replacement(_load(file, parse_document))
-    if as_dot:
-        click.echo(result.graph.to_dot(), nl=False)
-        return
-    if as_json:
-        _echo_json(rank0_document(result.graph))
+    if as_dot or as_json:
+        zero_graph = result.graph
+        del result  # frees the source document before the output is built
+        if as_dot:
+            click.echo(zero_graph.to_dot(), nl=False)
+        else:
+            _echo_json(rank0_document(zero_graph))
         return
     click.echo(f"p: {result.graph.p}")
     click.echo(f"q: {result.graph.q}")
-    for node, (kind, element) in result.origin.items():
-        click.echo(f"{node} {kind} {element}")
+    for node in result.graph.nodes:
+        click.echo(f"{node} {' '.join(result.origin(node))}")
     for u, v in result.graph.edges:
         click.echo(f"{u} -- {v}")
 

@@ -135,8 +135,8 @@ class TransfiniteGraph:
 
     @cached_property
     @_collector_paused()
-    def _zero_graph(self) -> tuple[FiniteGraph, dict[str, str], dict[str, tuple[str, str]]]:
-        """The replacement 0-graph with its ``zero_node`` and ``origin`` maps.
+    def _zero_graph(self) -> FiniteGraph:
+        """The replacement 0-graph.
 
         Nodes are the nonsingleton mu-nodes, then the section
         representatives, then the included singletons that name
@@ -156,10 +156,8 @@ class TransfiniteGraph:
         singletons = [
             m for m in map(self._mu_index.get, self.include_singletons) if m and not m.is_nonsingleton
         ]
-        origin = {m.id: ("mu-node", m.id) for m in mu_nodes}
-        origin.update((s.representative, ("section", s.id)) for s in self.sections)
-        origin.update((m.id, ("singleton", m.id)) for m in singletons)
-        zero_node = {element: node for node, (_, element) in origin.items()}
+        representatives = (s.representative for s in self.sections)
+        nodes = tuple(chain((m.id for m in mu_nodes), representatives, (m.id for m in singletons)))
         first = len(mu_nodes)  # the node index of the first section
         home = {section.id: k for k, section in enumerate(self.sections)}
         joined: list[list[int]] = [[] for _ in self.sections]
@@ -176,7 +174,7 @@ class TransfiniteGraph:
                 for i, m in enumerate(singletons, first + len(joined))
             ),
         )
-        return FiniteGraph._of(tuple(origin), groups), zero_node, origin
+        return FiniteGraph._of(nodes, groups)
 
     def has_section(self, section_id: str) -> bool:
         return section_id in self._section_index
@@ -613,12 +611,13 @@ def validate(graph: TransfiniteGraph, walk_based: bool = False) -> ValidationRep
             )
 
     if not unresolved:
-        zero_graph, _, origin = graph._zero_graph
+        zero_graph = graph._zero_graph
         if not zero_graph.is_connected():
-            # A second BFS, from the first section, names what it misses.
-            order = sorted(zero_graph.nodes, key=lambda node: origin[node][0] != "section")
+            # A second BFS, from the first section (a representative), names what it misses.
+            home = graph._internal_home
+            order = sorted(zero_graph.nodes, key=lambda node: node not in home)
             dist = zero_graph.bfs_distances(order[0])
-            unreached = [origin[node][1] for node in order if dist[node] is None]
+            unreached = [home[n].id if n in home else n for n in order if dist[n] is None]
             violations.append(
                 Violation(
                     "connectivity",

@@ -50,22 +50,35 @@ class AbstractPath:
 
 @dataclass(frozen=True)
 class ReplacementResult:
-    """A finite 0-graph plus the correspondence with its source graph.
-
-    ``zero_node`` maps each mu-node, section and included singleton to
-    its 0-node; ``origin`` maps each 0-node back to ``(kind, element)``,
-    with kind ``"mu-node"``, ``"section"`` or ``"singleton"``.  The graph
-    must be connected, else GraphError is raised, so every distance and
-    status read from a result is defined.
+    """A finite 0-graph plus its source graph, which the result keeps
+    alive to answer ``zero_node`` and ``origin``.  The graph must be
+    connected, else GraphError is raised, so every distance and status
+    read from a result is defined.
     """
 
     graph: FiniteGraph
-    zero_node: dict[str, str]
-    origin: dict[str, tuple[str, str]]
+    source: TransfiniteGraph
 
     def __post_init__(self) -> None:
         if not self.graph.is_connected():
             raise GraphError("the replacement graph is not connected")
+
+    def zero_node(self, element: str) -> str | None:
+        """The 0-node of a section (its representative) or of a mu-node
+        or included singleton in the graph (itself), else None."""
+        if element in self.graph._index and self.source.has_mu_node(element):
+            return element
+        section = self.source._section_index.get(element)
+        return section.representative if section else None
+
+    def origin(self, node: str) -> tuple[str, str]:
+        """``(kind, element)`` of a 0-node, kind ``"mu-node"``,
+        ``"section"`` or ``"singleton"``; GraphError for a node off the graph."""
+        self.graph._node_index(node)
+        section = self.source.section_of_internal(node)
+        if section is not None:
+            return "section", section.id
+        return ("mu-node" if self.source.mu_node(node).is_nonsingleton else "singleton"), node
 
 
 def build_replacement(
@@ -78,12 +91,12 @@ def build_replacement(
     singleton keeps its id.  Nodes are ordered mu-nodes first, then
     sections, then singletons, each in declaration order.  Raises
     ValidationFailed when validation (in the given mode) does not pass.
-    The result shares the graph's cached 0-graph: its maps are read-only.
+    The result shares the graph's cached 0-graph, which is read-only.
     """
     report = validate(graph, walk_based)
     if not report.passed:
         raise ValidationFailed(report)
-    return ReplacementResult(*graph._zero_graph)
+    return ReplacementResult(graph._zero_graph, graph)
 
 
 def _resolve_elements(
@@ -134,14 +147,12 @@ def translate_path(result: ReplacementResult, path: AbstractPath) -> list[str]:
     """
     if not path.elements:
         raise PathError("a path needs at least one element")
-    sequence: list[str] = []
-    for element in path.elements:
-        if element not in result.zero_node:
-            raise PathError(
-                f"element {element!r} has no replacement 0-node (unknown id or a "
-                "singleton mu-node that is not included)"
-            )
-        sequence.append(result.zero_node[element])
+    sequence = [result.zero_node(element) for element in path.elements]
+    if None in sequence:
+        raise PathError(
+            f"element {path.elements[sequence.index(None)]!r} has no replacement 0-node "
+            "(unknown id or a singleton mu-node that is not included)"
+        )
     if len(set(sequence)) != len(sequence):
         raise PathError("path visits a 0-node twice")
     for u, v in zip(sequence, sequence[1:]):
@@ -164,9 +175,10 @@ def iter_simple_paths(
     """
     result = build_replacement(graph, walk_based=True)
     neighbors = result.graph.neighbors
+    home = graph._internal_home  # inline, as in geodesic: origin() per node doubles the time
 
     def path(trail: list[str]) -> AbstractPath:
-        return AbstractPath(tuple(result.origin[node][1] for node in trail))
+        return AbstractPath(tuple(home[n].id if n in home else n for n in trail))
 
     # A depth-first walk in pre-order, kept iterative so that a long path
     # does not nest one frame per element: branches[i] holds the

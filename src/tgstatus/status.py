@@ -96,15 +96,15 @@ def _zero_node(graph: TransfiniteGraph, result: ReplacementResult, node_id: str)
     stands at its section's 0-node."""
     home = graph.section_of_internal(node_id)
     if home is not None:
-        return result.zero_node[home.id]
+        return home.representative
     if not graph.has_mu_node(node_id):
         raise StatusError(f"unknown node id {node_id!r}")
-    if node_id not in result.zero_node:
+    if node_id not in result.graph._index:
         raise StatusError(
             f"no path-based distance exists for singleton mu-node {node_id!r}; "
             "it is not included in the replacement"
         )
-    return result.zero_node[node_id]
+    return node_id
 
 
 def mu_distance(
@@ -136,7 +136,8 @@ def geodesic(
             "no geodesic between distinct 0-nodes exists"
         )
     sequence = result.graph.shortest_path(node_a, node_b)
-    return AbstractPath(tuple(result.origin[node][1] for node in sequence))
+    home = graph._internal_home  # inline: origin() per node costs 4x this on long paths
+    return AbstractPath(tuple(home[n].id if n in home else n for n in sequence))
 
 
 def mu_status(graph: TransfiniteGraph, result: ReplacementResult, x: str) -> Ordinal:
@@ -203,8 +204,8 @@ def status_report(
         kinds = {"mu-node": KIND_MU_NODE, "section": KIND_SECTION_REPRESENTATIVE}
         entries = [
             StatusEntry(node, kinds[kind], mu_status(graph, result, node))
-            for node, (kind, _) in result.origin.items()
-            if kind != "singleton"
+            for node in result.graph.nodes
+            if (kind := result.origin(node)[0]) != "singleton"
         ]
     return StatusReport(
         rank=rank,

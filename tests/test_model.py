@@ -711,7 +711,7 @@ class TestIncidence:
     @staticmethod
     def zero_nodes(g):
         result = build_replacement(g)
-        return [(n, result.origin[n], result.graph.neighbors(n)) for n in result.graph.nodes]
+        return [(n, result.origin(n), result.graph.neighbors(n)) for n in result.graph.nodes]
 
     def test_g1_with_singletons(self):
         g = parse_document(sample("g1_with_singletons"))
@@ -737,10 +737,12 @@ class TestIncidence:
 
     @staticmethod
     def checked_zero_graph(g):
-        """The 0-graph through the checked constructor, its branches
-        listed section by section as the docstring of ``_zero_graph`` has
-        them."""
-        _, zero_node, origin = g._zero_graph
+        """The 0-graph through the checked constructor, built from the
+        sections, nonsingleton mu-nodes and included singletons alone,
+        its nodes and branches listed as the docstring of
+        ``_zero_graph`` has them."""
+        representative = {section.id: section.representative for section in g.sections}
+        nodes = [m.id for m in g.nonsingleton_mu_nodes] + list(representative.values())
         edges = []
         for section in g.sections:
             joined = [m.id for m in g.nonsingleton_mu_nodes if section.id in m.incident_sections]
@@ -748,11 +750,12 @@ class TestIncidence:
         for mu_id in g.include_singletons:
             m = g.mu_node(mu_id)
             if not m.is_nonsingleton:
-                edges += [(zero_node[home], mu_id) for home in m.incident_sections]
-        return FiniteGraph(origin, edges)
+                nodes.append(mu_id)
+                edges += [(representative[home], mu_id) for home in m.incident_sections]
+        return FiniteGraph(nodes, edges)
 
     def assert_zero_graph_is_checked_one(self, g):
-        graph = g._zero_graph[0]
+        graph = g._zero_graph
         checked = self.checked_zero_graph(g)
         assert graph.nodes == checked.nodes
         assert graph.edges == checked.edges

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tgstatus.finite_graph import GraphError
 from tgstatus.model import ValidationFailed, parse_document
 from tgstatus.ordinal import ZERO, omega_term, parse_ordinal
 from tgstatus.replacement import (
@@ -42,7 +43,7 @@ def recursive_simple_paths(graph, include_trivial):
 
     def extend(trail):
         if len(trail) >= 2 or include_trivial:
-            paths.append(tuple(result.origin[node][1] for node in trail))
+            paths.append(tuple(result.origin(node)[1] for node in trail))
         for neighbor in result.graph.neighbors(trail[-1]):
             if neighbor not in trail:
                 extend(trail + [neighbor])
@@ -65,13 +66,6 @@ class TestBuildReplacement:
         assert g.nodes == ("X1", "X2", "y1", "y2")
         assert set(g.edges) == {("X1", "y1"), ("X2", "y1"), ("X1", "y2"), ("X2", "y2")}
         assert (g.p, g.q) == (4, 4)
-        assert result.zero_node == {"X1": "X1", "X2": "X2", "S1": "y1", "S2": "y2"}
-        assert result.origin == {
-            "X1": ("mu-node", "X1"),
-            "X2": ("mu-node", "X2"),
-            "y1": ("section", "S1"),
-            "y2": ("section", "S2"),
-        }
 
     def test_g2_single_edge(self):
         g = build_replacement(load("g2")).graph
@@ -92,8 +86,6 @@ class TestBuildReplacement:
         assert g.has_edge("W1", "y1")
         assert g.degree("W1") == 1
         assert (g.p, g.q) == (5, 5)
-        assert result.zero_node["W1"] == "W1"
-        assert result.origin["W1"] == ("singleton", "W1")
 
     def test_validation_failure_raises(self):
         with pytest.raises(ValidationFailed) as excinfo:
@@ -129,7 +121,7 @@ class TestBuildReplacement:
             doc = random_document(rng)
             graph = parse_document(document_text(doc))
             result = build_replacement(graph)
-            centers = {result.zero_node[section.id] for section in graph.sections}
+            centers = {result.zero_node(section.id) for section in graph.sections}
             for u, v in result.graph.edges:
                 assert (u in centers) != (v in centers)
 
@@ -142,6 +134,42 @@ class TestBuildReplacement:
             nodes, edges = oracle_replacement(doc)
             assert sorted(g.nodes) == sorted(nodes)
             assert sorted(g.edges) == edges
+
+    @staticmethod
+    def lookup_oracle(doc):
+        """From the raw document: the (0-node, kind) of each section,
+        nonsingleton mu-node and included singleton, and every declared id."""
+        sections, mu_nodes = doc["sections"], doc["mu_nodes"]
+        expected = {m["id"]: (m["id"], "mu-node") for m in mu_nodes if len(m["tips"]) >= 2}
+        expected.update((s["id"], (s["representative"], "section")) for s in sections)
+        singletons = {m["id"] for m in mu_nodes if len(m["tips"]) == 1}
+        expected.update((w, (w, "singleton")) for w in doc["include_singletons"] if w in singletons)
+        declared = [s["id"] for s in sections] + [m["id"] for m in mu_nodes]
+        declared += [n["id"] for s in sections for n in s["internal_nodes"]]
+        declared += [t["id"] for m in mu_nodes for t in m["tips"]]
+        return expected, declared
+
+    def test_lookups_match_the_document(self):
+        docs = [
+            json.loads((SAMPLES / f"{name}.json").read_text())
+            for name in ("g1", "g2", "g3", "g1_with_singletons", "g3_nondisconnectable_violation")
+        ]
+        rng = random.Random(4141)
+        docs += [random_document(rng) for _ in range(60)]
+        for doc in docs:
+            result = build_replacement(parse_document(document_text(doc)), walk_based=True)
+            expected, declared = self.lookup_oracle(doc)
+            assert sorted(node for node, _ in expected.values()) == sorted(result.graph.nodes)
+            for element, (node, kind) in expected.items():
+                assert result.zero_node(element) == node
+                assert result.origin(node) == (kind, element)
+            # Internal nodes (representatives too), tips, excluded
+            # singletons and unknown ids have no 0-node.
+            for other in [key for key in declared if key not in expected] + ["unknown"]:
+                assert result.zero_node(other) is None
+            for off in [key for key in declared if key not in result.graph.nodes] + ["unknown"]:
+                with pytest.raises(GraphError, match="^unknown node "):
+                    result.origin(off)
 
     def test_deterministic_dot(self):
         first = build_replacement(load("g1")).graph.to_dot()

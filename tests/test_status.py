@@ -381,17 +381,17 @@ class TestConnectedReplacement:
     def test_hand_built_result_must_be_connected(self, bfs_sources):
         g, r = loaded("g1_with_singletons")
         bfs_sources.clear()
-        # The same maps over the 0-graph without the branch to W1.
+        # The same source over the 0-graph without the branch to W1.
         torn = FiniteGraph(r.graph.nodes, [e for e in r.graph.edges if "W1" not in e])
         for _ in range(2):
             with pytest.raises(GraphError, match="^the replacement graph is not connected$"):
-                ReplacementResult(torn, r.zero_node, r.origin)
+                ReplacementResult(torn, g)
         # The graph keeps its answer: the second check runs no BFS.
         assert len(bfs_sources) == 1
 
     def test_rebuilt_result_answers_as_built(self):
         g, r = loaded("g1_with_singletons")
-        rebuilt = ReplacementResult(r.graph, r.zero_node, r.origin)
+        rebuilt = ReplacementResult(r.graph, g)
         nodes = ["X1", "X2", "W1", "y1", "z1", "y2"]
         for a in nodes:
             for b in nodes:
