@@ -168,20 +168,19 @@ def replace(file: str, as_dot: bool, as_json: bool) -> None:
     if as_dot and as_json:
         _input_error("--dot and --json are mutually exclusive")
     result = build_replacement(_load(file, parse_document))
+    zero_graph = result.graph
     if as_dot or as_json:
-        zero_graph = result.graph
         del result  # frees the source document before the output is built
         if as_dot:
             click.echo(zero_graph.to_dot(), nl=False)
         else:
             _echo_json(rank0_document(zero_graph))
         return
-    click.echo(f"p: {result.graph.p}")
-    click.echo(f"q: {result.graph.q}")
-    for node in result.graph.nodes:
-        click.echo(f"{node} {' '.join(result.origin(node))}")
-    for u, v in result.graph.edges:
-        click.echo(f"{u} -- {v}")
+    lines = [f"p: {zero_graph.p}", f"q: {zero_graph.q}"]
+    lines += [f"{node} {' '.join(result.origin(node))}" for node in zero_graph.nodes]
+    del result  # as above: the edge lines then take no memory past the read's peak
+    lines += [f"{u} -- {v}" for u, v in zero_graph.edges]
+    click.echo("\n".join(lines))
 
 
 @main.command()

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Any
+from typing import Any, Iterable
 
 from .finite_graph import FiniteGraph, GraphError, _collector_paused
 
@@ -190,6 +190,13 @@ class TransfiniteGraph:
 
     def section_of_internal(self, internal_id: str) -> Section | None:
         return self._internal_home.get(internal_id)
+
+    def _elements(self, nodes: Iterable[str]) -> tuple[str, ...]:
+        """The element each 0-node of a sequence stands for: a section's
+        representative its section, any other 0-node itself.  One call per
+        sequence, as a call per node costs several times this on long paths."""
+        home = self._internal_home
+        return tuple(home[n].id if n in home else n for n in nodes)
 
 
 @dataclass(frozen=True)
@@ -614,16 +621,15 @@ def validate(graph: TransfiniteGraph, walk_based: bool = False) -> ValidationRep
         zero_graph = graph._zero_graph
         if not zero_graph.is_connected():
             # A second BFS, from the first section (a representative), names what it misses.
-            home = graph._internal_home
-            order = sorted(zero_graph.nodes, key=lambda node: node not in home)
+            order = sorted(zero_graph.nodes, key=lambda node: node not in graph._internal_home)
             dist = zero_graph.bfs_distances(order[0])
-            unreached = [home[n].id if n in home else n for n in order if dist[n] is None]
+            unreached = graph._elements(n for n in order if dist[n] is None)
             violations.append(
                 Violation(
                     "connectivity",
                     "the replacement 0-graph is not connected; unreached: "
                     + ", ".join(unreached),
-                    tuple(unreached),
+                    unreached,
                 )
             )
 

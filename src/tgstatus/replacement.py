@@ -174,25 +174,20 @@ def iter_simple_paths(
     ValidationFailed.
     """
     result = build_replacement(graph, walk_based=True)
-    neighbors = result.graph.neighbors
-    home = graph._internal_home  # inline, as in geodesic: origin() per node doubles the time
-
-    def path(trail: list[str]) -> AbstractPath:
-        return AbstractPath(tuple(home[n].id if n in home else n for n in trail))
-
+    neighbors, elements = result.graph.neighbors, graph._elements
     # A depth-first walk in pre-order, kept iterative so that a long path
     # does not nest one frame per element: branches[i] holds the
     # neighbours of trail[i] still to try.
     for start in result.graph.nodes:
         if include_trivial:
-            yield path([start])
+            yield AbstractPath(elements([start]))
         trail = [start]
         branches = [iter(neighbors(start))]
         while branches:
             for neighbor in branches[-1]:
                 if neighbor not in trail:
                     trail.append(neighbor)
-                    yield path(trail)
+                    yield AbstractPath(elements(trail))
                     branches.append(iter(neighbors(neighbor)))
                     break
             else:

@@ -91,6 +91,12 @@ class StatusReport:
         return obj
 
 
+def _check_source(graph: TransfiniteGraph, result: ReplacementResult) -> None:
+    """A query reads the result of its own graph: result.source is graph."""
+    if result.source is not graph:
+        raise StatusError("the replacement result was built from another graph; pass result.source")
+
+
 def _zero_node(graph: TransfiniteGraph, result: ReplacementResult, node_id: str) -> str:
     """0-node at which a mu-node or internal node stands; an internal node
     stands at its section's 0-node."""
@@ -115,6 +121,7 @@ def mu_distance(
     0 for nodes of one section (or a = b); otherwise w^mu times the hop
     distance between the corresponding 0-nodes.
     """
+    _check_source(graph, result)
     node_a = _zero_node(graph, result, a)
     node_b = _zero_node(graph, result, b)
     return omega_term(graph.rank, result.graph.hop_distance(node_a, node_b))
@@ -128,6 +135,7 @@ def geodesic(
     Ties among shortest paths break toward the lexicographically
     smallest 0-node sequence.  Undefined for endpoints at distance 0.
     """
+    _check_source(graph, result)
     node_a = _zero_node(graph, result, a)
     node_b = _zero_node(graph, result, b)
     if node_a == node_b:
@@ -135,9 +143,7 @@ def geodesic(
             f"{a!r} and {b!r} are at distance 0 (same node or same section); "
             "no geodesic between distinct 0-nodes exists"
         )
-    sequence = result.graph.shortest_path(node_a, node_b)
-    home = graph._internal_home  # inline: origin() per node costs 4x this on long paths
-    return AbstractPath(tuple(home[n].id if n in home else n for n in sequence))
+    return AbstractPath(graph._elements(result.graph.shortest_path(node_a, node_b)))
 
 
 def mu_status(graph: TransfiniteGraph, result: ReplacementResult, x: str) -> Ordinal:
@@ -153,6 +159,7 @@ def mu_status(graph: TransfiniteGraph, result: ReplacementResult, x: str) -> Ord
     0 or one term at exponent mu, so once the sum is non-zero, adding a
     non-zero distance adds two one-term ordinals at one exponent, which
     Ordinal.__add__ does in one step."""
+    _check_source(graph, result)
     if graph.has_mu_node(x) and not graph.mu_node(x).is_nonsingleton:
         raise StatusError(
             f"status is defined only for nonsingleton nodes; {x!r} is a singleton mu-node"
@@ -170,6 +177,7 @@ def mu_status(graph: TransfiniteGraph, result: ReplacementResult, x: str) -> Ord
 
 def mu_status_bounds(graph: TransfiniteGraph, result: ReplacementResult) -> BoundsResult:
     """Status bounds scaled by w^mu, from the replacement graph's p and q."""
+    _check_source(graph, result)
     p, q = result.graph.p, result.graph.q
     lower, upper = status_bounds_values(p, q)
     return BoundsResult(

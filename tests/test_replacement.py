@@ -163,6 +163,11 @@ class TestBuildReplacement:
             for element, (node, kind) in expected.items():
                 assert result.zero_node(element) == node
                 assert result.origin(node) == (kind, element)
+            element_of = {node: element for element, (node, _) in expected.items()}
+            nodes = result.graph.nodes
+            assert list(result.source._elements(nodes)) == [element_of[n] for n in nodes] == [
+                result.origin(n)[1] for n in nodes
+            ]
             # Internal nodes (representatives too), tips, excluded
             # singletons and unknown ids have no 0-node.
             for other in [key for key in declared if key not in expected] + ["unknown"]:

@@ -252,8 +252,10 @@ class TestStatus:
     @pytest.mark.parametrize("rank", [-1, "2", True])
     def test_rank_that_is_not_a_natural_number_rejected(self, rank):
         g, r = loaded("g3")
+        # A query reads its own graph's result, so the result is rebuilt on the copy.
+        g = dataclasses.replace(g, rank=rank)
         with pytest.raises(ValueError, match="exponent must be a natural number"):
-            mu_status(dataclasses.replace(g, rank=rank), r, "y1")
+            mu_status(g, ReplacementResult(r.graph, g), "y1")
 
     def test_singleton_source_rejected(self):
         g, r = loaded("g1_with_singletons")
@@ -402,6 +404,21 @@ class TestConnectedReplacement:
             if a != "W1":
                 assert mu_status(g, rebuilt, a) == mu_status(g, r, a)
         assert mu_status_bounds(g, rebuilt) == mu_status_bounds(g, r)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda g, r: mu_distance(g, r, "y1", "X2"),
+            lambda g, r: geodesic(g, r, "y1", "X2"),
+            lambda g, r: mu_status(g, r, "y1"),
+            mu_status_bounds,
+        ],
+        ids=["mu_distance", "geodesic", "mu_status", "mu_status_bounds"],
+    )
+    def test_result_of_another_graph_is_refused(self, query):
+        # Every id is g3's and g1's, so g1's result would answer in g1's terms.
+        with pytest.raises(StatusError, match="^the replacement result was built from another graph"):
+            query(load("g3"), build_replacement(load("g1")))
 
 
 def test_ten_thousand_node_document_against_the_oracles():
